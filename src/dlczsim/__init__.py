@@ -2,7 +2,8 @@
 
 Subpackages map onto the problem's layers:
 
-    link_physics   photon statistics of one elementary link (write, herald, read)
+    link_physics   photon statistics of one elementary link: batch sampling
+                   pipeline and its exact closed forms
     metrics        concurrence / visibility / retrieval-efficiency estimators
     rate           closed-form nested-chain rate recursion
     chain_sim      discrete-event Monte Carlo of the full chain
@@ -28,22 +29,14 @@ from .errors import (
 )
 from .fitters import FitResult, Samples, fit_exponential, fit_linear_origin, fit_sinusoid
 from .link_physics import (
-    HeraldEvent,
-    HeraldSign,
     LinkParams,
-    ModeExcitation,
-    Node,
     PmnTable,
-    StokesDetector,
     expected_herald_probability,
     expected_pmn,
     expected_window_detection,
     fringe_expectation,
     fringe_visibility,
-    herald_bsm,
-    readout_pmn,
     run_link_trials,
-    sample_write_train,
 )
 from .metrics import (
     ConcurrenceResult,
@@ -69,20 +62,15 @@ __all__ = [
     "DlczSimError",
     "EstimatorError",
     "FitResult",
-    "HeraldEvent",
-    "HeraldSign",
     "IllConditionedError",
     "LinkParams",
-    "ModeExcitation",
     "NoHeraldsError",
-    "Node",
     "ParameterError",
     "PmnTable",
     "RankDeficiencyError",
     "Samples",
     "SimConfig",
     "StalledChainError",
-    "StokesDetector",
     "concurrence",
     "elementary_p0",
     "expected_herald_probability",
@@ -93,12 +81,9 @@ __all__ = [
     "fit_sinusoid",
     "fringe_expectation",
     "fringe_visibility",
-    "herald_bsm",
     "intrinsic_efficiency",
     "multiplexed_success",
-    "readout_pmn",
     "run_link_trials",
-    "sample_write_train",
     "simulate_chain",
     "simulate_elementary_link",
     "swap_chain",

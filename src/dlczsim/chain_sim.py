@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, StalledChainError
+from .errors import ParameterError, StalledChainError, check_fields
 from .rate import ChainParams, elementary_p0, multiplexed_success, swap_chain
 from .streams import substream
 
@@ -51,15 +51,15 @@ class SimConfig:
     max_sim_time: float = 3600.0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if self.max_sim_time <= self.chain.t_cc:
-            raise ParameterError(
-                f"max_sim_time ({self.max_sim_time}) must exceed T_cc ({self.chain.t_cc})")
-
-    @property
-    def time_step(self) -> float:
-        return self.chain.t_cc
+        check_fields(self, (
+            ("trials", int, ">= 1"),
+            ("seed", int, ">= 0"),
+            ("max_sim_time", float, "> 0"),
+        ))
+        # the guard counts ticks of T_cc: more than one, and finitely many
+        if not 1.0 < self.max_sim_time / self.chain.t_cc < math.inf:
+            raise ParameterError(f"max_sim_time ({self.max_sim_time}) must exceed T_cc "
+                                 f"({self.chain.t_cc}) by a finite factor")
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,6 @@ class ElementaryLinkTrace:
     empirical_success: float
     analytic_success: float
     waiting_times: np.ndarray     # inter-success gaps, in units of T_cc
-
-    @property
-    def mean_waiting_time(self) -> float:
-        return float(self.waiting_times.mean())
 
 
 def simulate_elementary_link(chain: ChainParams, trials: int, seed: int) -> ElementaryLinkTrace:

@@ -27,22 +27,13 @@ from .config_io import (
     RunManifest,
     canonical_json,
     config_as_dict,
+    format_cell,
     format_float,
     parse_config,
     write_csv_atomic,
     write_text_atomic,
 )
-from .errors import (
-    ConfigError,
-    ContractError,
-    DlczSimError,
-    EstimatorError,
-    IllConditionedError,
-    NoHeraldsError,
-    ParameterError,
-    RankDeficiencyError,
-    StalledChainError,
-)
+from .errors import ConfigError, DlczSimError, NoHeraldsError, StalledChainError
 from .experiments import mode_count_scan, storage_time_scan
 from .fitters import Samples, fit_exponential, fit_linear_origin, fit_sinusoid
 from .rate import ChainParams, swap_chain
@@ -117,43 +108,46 @@ def _load_config(args):
     return config
 
 
-def _emit(args, name: str, text: str, outputs: list[str]) -> None:
-    if args.out_dir is None:
-        return
-    path = Path(args.out_dir) / name
-    write_text_atomic(path, text)
-    outputs.append(str(path))
+class _Run:
+    """Start time, result files and manifest of one command.
 
+    Files are written only under --out-dir.
+    """
 
-def _finish_manifest(args, command: str, config_dict: dict, seed: int,
-                     outputs: list[str], started: float) -> None:
-    if args.out_dir is None:
-        return
-    manifest = RunManifest(
-        command=command,
-        parameters=config_dict,
-        seed=seed,
-        outputs=sorted(outputs),
-        duration_s=time.time() - started,
-    )
-    manifest.write(Path(args.out_dir) / "manifest.json")
+    def __init__(self, args, command: str):
+        self.out_dir, self.command = args.out_dir, command
+        self.started = time.time()
+        self.outputs: list[str] = []
+
+    def emit(self, name: str, write, *args, **kwargs) -> None:
+        """Write result file ``name`` with ``write(path, *args, **kwargs)``."""
+        if self.out_dir is not None:
+            path = Path(self.out_dir) / name
+            write(path, *args, **kwargs)
+            self.outputs.append(str(path))
+
+    def finish(self, parameters: dict, seed: int, code: int = EXIT_OK) -> int:
+        """Write the manifest and return the exit code."""
+        if self.out_dir is not None:
+            RunManifest(command=self.command, parameters=parameters, seed=seed,
+                        outputs=sorted(self.outputs), duration_s=time.time() - self.started,
+                        ).write(Path(self.out_dir) / "manifest.json")
+        return code
 
 
 def cmd_rate(args) -> int:
-    started = time.time()
+    run = _Run(args, "rate")
     config = _load_config(args)
     if config.chain is None:
         raise ConfigError("rate requires a [chain] section")
-    outputs: list[str] = []
     try:
         report = swap_chain(config.chain)
     except StalledChainError as exc:
         print(f"warning: {exc}", file=sys.stderr)
         print("rate_hz 0")
-        _emit(args, "rate.json", canonical_json({"rate_hz": 0.0, "stalled_level": exc.level}),
-              outputs)
-        _finish_manifest(args, "rate", config_as_dict(config), config.seed, outputs, started)
-        return EXIT_OK
+        run.emit("rate.json", write_text_atomic,
+                 canonical_json({"rate_hz": 0.0, "stalled_level": exc.level}))
+        return run.finish(config_as_dict(config), config.seed)
 
     print(f"T_cc_s          {format_float(report.t_cc)}")
     print(f"P0              {format_float(report.p0)}")
@@ -166,98 +160,77 @@ def cmd_rate(args) -> int:
     print(f"rate_hz         {format_float(report.rate_hz)}")
 
     if args.format == "csv":
-        rows = [(i + 1, p, t) for i, (p, t) in
-                enumerate(zip(report.level_success, report.level_time))]
-        if args.out_dir is not None:
-            path = Path(args.out_dir) / "rate.csv"
-            write_csv_atomic(path, ("level", "p_i", "t_i_s"), rows,
-                             trailer_comments=(f"rate_hz {format_float(report.rate_hz)}",))
-            outputs.append(str(path))
+        rows = [(i, p, t) for i, (p, t) in
+                enumerate(zip(report.level_success, report.level_time), start=1)]
+        run.emit("rate.csv", write_csv_atomic, ("level", "p_i", "t_i_s"), rows,
+                 trailer_comments=(f"rate_hz {format_float(report.rate_hz)}",))
     else:
-        _emit(args, "rate.json", canonical_json(report.to_dict()), outputs)
-    _finish_manifest(args, "rate", config_as_dict(config), config.seed, outputs, started)
-    return EXIT_OK
+        run.emit("rate.json", write_text_atomic, canonical_json(report.to_dict()))
+    return run.finish(config_as_dict(config), config.seed)
 
 
 def cmd_simulate(args) -> int:
-    started = time.time()
+    run = _Run(args, "simulate")
     config = _load_config(args)
     sim = config.sim_config()
-    outputs: list[str] = []
 
     if args.elementary:
         trace = simulate_elementary_link(sim.chain, sim.trials, sim.seed)
         print(f"intervals {trace.intervals}  successes {trace.successes}")
         print(f"empirical_success {format_float(trace.empirical_success)}  "
               f"analytic {format_float(trace.analytic_success)}")
-        _emit(args, "trace.json", canonical_json({
+        run.emit("trace.json", write_text_atomic, canonical_json({
             "mode": "elementary",
             "intervals": trace.intervals,
             "successes": trace.successes,
             "empirical_success": trace.empirical_success,
             "analytic_success": trace.analytic_success,
             "waiting_times_tcc": trace.waiting_times.tolist(),
-        }), outputs)
-        _finish_manifest(args, "simulate", config_as_dict(config), sim.seed, outputs, started)
-        return EXIT_OK
+        }))
+        return run.finish(config_as_dict(config), sim.seed)
 
     trace = simulate_chain(sim, workers=max(1, args.workers))
     print(f"delivered {trace.delivered}/{sim.trials}  timeouts {trace.timeouts}")
     print(f"empirical_rate_hz {format_float(trace.empirical_rate)} "
           f"+/- {format_float(trace.rate_stderr)}")
     print(f"analytic_rate_hz  {format_float(trace.analytic_rate)}")
-    _emit(args, "trace.json", canonical_json(trace.to_dict()), outputs)
-    if args.out_dir is not None:
-        rows = [(float(lo), float(hi), int(count)) for lo, hi, count in
-                zip(trace.histogram_edges[:-1], trace.histogram_edges[1:],
-                    trace.histogram_counts)]
-        path = Path(args.out_dir) / "latency.csv"
-        write_csv_atomic(path, ("bin_start_s", "bin_end_s", "count"), rows)
-        outputs.append(str(path))
-    _finish_manifest(args, "simulate", config_as_dict(config), sim.seed, outputs, started)
+    run.emit("trace.json", write_text_atomic, canonical_json(trace.to_dict()))
+    run.emit("latency.csv", write_csv_atomic, ("bin_start_s", "bin_end_s", "count"), [
+        (float(lo), float(hi), int(count)) for lo, hi, count in
+        zip(trace.histogram_edges[:-1], trace.histogram_edges[1:], trace.histogram_counts)])
     if trace.timeouts > 0.5 * sim.trials:
         print(f"error: {trace.timeouts} of {sim.trials} trials timed out at "
               f"max_sim_time={sim.max_sim_time}s", file=sys.stderr)
-        return EXIT_DEGENERATE
-    return EXIT_OK
+        return run.finish(config_as_dict(config), sim.seed, EXIT_DEGENERATE)
+    return run.finish(config_as_dict(config), sim.seed)
+
+
+def _emit_scan(run: _Run, name: str, points) -> None:
+    """Print scan points as column-value pairs and write them as CSV, both
+    from their ``as_row`` dicts."""
+    rows = [p.as_row() for p in points]
+    for row in rows:
+        print("  ".join(f"{key} {format_cell(value)}" for key, value in row.items()))
+    run.emit(name, write_csv_atomic, tuple(rows[0]), [tuple(row.values()) for row in rows])
 
 
 def cmd_link_experiment(args) -> int:
-    started = time.time()
+    run = _Run(args, "link-experiment")
     config = _load_config(args)
     if config.link is None:
         raise ConfigError("link-experiment requires a [link] section")
     exp = config.experiment
-    outputs: list[str] = []
 
     storage_points = storage_time_scan(
         config.link, exp.storage_times, exp.trains, config.seed,
         phases=exp.fringe_phases, shots_per_phase=exp.fringe_shots)
-    rows = [(p.storage_time * 1e6, p.concurrence, p.concurrence_stderr,
-             p.visibility, p.efficiency) for p in storage_points]
-    for row in rows:
-        print("storage_time_us {}  C {}  C_stderr {}  V {}  eta {}".format(
-            *(format_float(v) for v in row)))
-    if args.out_dir is not None:
-        path = Path(args.out_dir) / "storage_scan.csv"
-        write_csv_atomic(path, ("storage_time_us", "C", "C_stderr", "V", "eta"), rows)
-        outputs.append(str(path))
+    _emit_scan(run, "storage_scan.csv", storage_points)
 
     mode_points = mode_count_scan(
         config.link, exp.mode_counts, exp.storage_times[0], exp.window_budget,
         config.seed, phases=exp.fringe_phases, shots_per_phase=exp.fringe_shots)
-    mode_rows = [(p.mode_count, p.detection_probability, p.concurrence)
-                 for p in mode_points]
-    for row in mode_rows:
-        print(f"mode_count {row[0]}  P_D {format_float(row[1])}  C {format_float(row[2])}")
-    if args.out_dir is not None:
-        path = Path(args.out_dir) / "mode_scan.csv"
-        write_csv_atomic(path, ("mode_count", "P_D", "C"), mode_rows)
-        outputs.append(str(path))
-
-    _finish_manifest(args, "link-experiment", config_as_dict(config), config.seed,
-                     outputs, started)
-    return EXIT_OK
+    _emit_scan(run, "mode_scan.csv", mode_points)
+    return run.finish(config_as_dict(config), config.seed)
 
 
 _FIT_DISPATCH = {
@@ -268,19 +241,18 @@ _FIT_DISPATCH = {
 
 
 def cmd_fit(args) -> int:
-    started = time.time()
+    run = _Run(args, "fit")
     samples = Samples.from_csv(args.csv)
     result = _FIT_DISPATCH[args.model](samples)
     text = canonical_json(result.to_dict())
     print(text, end="")
-    outputs: list[str] = []
-    _emit(args, "fit.json", text, outputs)
-    _finish_manifest(args, "fit", {"csv": str(args.csv), "model": args.model},
-                     args.seed if args.seed is not None else 0, outputs, started)
+    run.emit("fit.json", write_text_atomic, text)
+    code = EXIT_OK
     if not result.converged:
         print("error: fit did not converge", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+        code = EXIT_NO_CONVERGENCE
+    return run.finish({"csv": str(args.csv), "model": args.model},
+                      args.seed if args.seed is not None else 0, code)
 
 
 def _monotonicity(values) -> str:
@@ -299,7 +271,7 @@ def _monotonicity(values) -> str:
 
 
 def cmd_sweep(args) -> int:
-    started = time.time()
+    run = _Run(args, "sweep")
     config = _load_config(args)
     if config.chain is None:
         raise ConfigError("sweep requires a [chain] section")
@@ -324,7 +296,6 @@ def cmd_sweep(args) -> int:
         return EXIT_PARSE
 
     rows = []
-    rates = []
     for value in grid:
         overrides = {args.param: value}
         if fixed_total is not None:
@@ -336,24 +307,17 @@ def cmd_sweep(args) -> int:
         except StalledChainError:
             rate = 0.0
         rows.append((value, rate))
-        rates.append(rate)
-    diagnostic = _monotonicity(rates)
+    diagnostic = _monotonicity([rate for _, rate in rows])
 
     for value, rate in rows:
         print(f"{args.param} {format_float(float(value))}  rate_hz {format_float(rate)}")
     print(f"# monotonicity: {diagnostic}")
-    outputs: list[str] = []
-    if args.out_dir is not None:
-        path = Path(args.out_dir) / "sweep.csv"
-        write_csv_atomic(path, (args.param, "rate_hz"), rows,
-                         trailer_comments=(f"monotonicity: {diagnostic}",))
-        outputs.append(str(path))
-    _finish_manifest(args, "sweep",
-                     {**config_as_dict(config), "param": args.param,
-                      "min": args.min, "max": args.max, "steps": args.steps,
-                      "monotonicity": diagnostic},
-                     config.seed, outputs, started)
-    return EXIT_OK
+    run.emit("sweep.csv", write_csv_atomic, (args.param, "rate_hz"), rows,
+             trailer_comments=(f"monotonicity: {diagnostic}",))
+    return run.finish({**config_as_dict(config), "param": args.param,
+                       "min": args.min, "max": args.max, "steps": args.steps,
+                       "monotonicity": diagnostic},
+                      config.seed)
 
 
 def main(argv=None) -> int:
@@ -364,13 +328,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NoHeraldsError,) as exc:
+    except NoHeraldsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ParameterError, ContractError, EstimatorError, StalledChainError,
-            RankDeficiencyError, IllConditionedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except DlczSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .chain_sim import SimConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .link_physics import LinkParams
 from .rate import ChainParams
 
@@ -29,6 +29,7 @@ __all__ = [
     "parse_config",
     "parse_config_text",
     "serialize_config",
+    "format_cell",
     "format_float",
     "canonical_json",
     "write_text_atomic",
@@ -54,12 +55,14 @@ class ExperimentConfig:
     fringe_shots: int = 4000
 
     def __post_init__(self):
-        if not self.storage_times_us or any(t < 0 for t in self.storage_times_us):
-            raise ConfigError("storage_times_us must be a non-empty list of times >= 0")
-        if not self.mode_counts or any(n < 1 for n in self.mode_counts):
-            raise ConfigError("mode_counts must be a non-empty list of integers >= 1")
-        if self.trains < 1 or self.window_budget < 1:
-            raise ConfigError("trains and window_budget must be >= 1")
+        check_fields(self, (
+            ("storage_times_us", (float,), ">= 0"),
+            ("mode_counts", (int,), ">= 1"),
+            ("trains", int, ">= 1"),
+            ("window_budget", int, ">= 1"),
+            ("fringe_phases", int, None),
+            ("fringe_shots", int, ">= 0"),
+        ), ConfigError)
 
     @property
     def storage_times(self) -> tuple[float, ...]:
@@ -212,11 +215,7 @@ def serialize_config(config: RunConfig) -> str:
         parser["link"] = _serialize_section(_LINK_KEYS, config.link)
     if config.chain is not None:
         parser["chain"] = _serialize_section(_CHAIN_KEYS, config.chain)
-    parser["sim"] = {
-        "trials": str(config.trials),
-        "seed": str(config.seed),
-        "max_sim_time_s": repr(config.max_sim_time),
-    }
+    parser["sim"] = _serialize_section(_SIM_KEYS, config)
     parser["experiment"] = _serialize_section(_EXPERIMENT_KEYS, config.experiment)
     from io import StringIO
     buffer = StringIO()
@@ -262,12 +261,16 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+def format_cell(value) -> str:
+    """One result-file cell: floats at 9 significant digits, anything else as str."""
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
 def write_csv_atomic(path, header, rows, trailer_comments=()) -> None:
     """CSV with a mandatory header, 9-digit floats, optional '#' trailers."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(
-            format_float(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(format_cell(v) for v in row))
     lines.extend(f"# {comment}" for comment in trailer_comments)
     write_text_atomic(path, "\n".join(lines) + "\n")
 
@@ -299,12 +302,5 @@ def config_as_dict(config: RunConfig) -> dict:
         out["link"] = dataclasses.asdict(config.link)
     if config.chain is not None:
         out["chain"] = dataclasses.asdict(config.chain)
-    out["experiment"] = {
-        "storage_times_us": list(config.experiment.storage_times_us),
-        "mode_counts": list(config.experiment.mode_counts),
-        "trains": config.experiment.trains,
-        "window_budget": config.experiment.window_budget,
-        "fringe_phases": config.experiment.fringe_phases,
-        "fringe_shots": config.experiment.fringe_shots,
-    }
+    out["experiment"] = dataclasses.asdict(config.experiment)
     return out

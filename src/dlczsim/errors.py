@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field validator that
+raises them for every parameter dataclass."""
+
+import math
 
 
 class DlczSimError(Exception):
@@ -42,3 +45,48 @@ class IllConditionedError(DlczSimError, ValueError):
 
 class ConfigError(DlczSimError, ValueError):
     """A configuration file failed to parse or is missing required fields."""
+
+
+# The ranges a field may declare, keyed by the phrase error messages print.
+# Each is stored as open bounds (lo, hi): ``lo < value < hi`` holds exactly
+# for finite values inside the range, so one chained comparison also rejects
+# NaN and +-inf. Closed ends are widened by one ulp with math.nextafter.
+_BELOW_ZERO = math.nextafter(0.0, -1.0)
+RANGES = {
+    None: (-math.inf, math.inf),
+    "in [0, 1]": (_BELOW_ZERO, math.nextafter(1.0, 2.0)),
+    "in [0, 1)": (_BELOW_ZERO, 1.0),
+    "> 0": (0.0, math.inf),
+    ">= 0": (_BELOW_ZERO, math.inf),
+    ">= 1": (math.nextafter(1.0, 0.0), math.inf),
+}
+
+
+def check_fields(obj, spec, error=ParameterError) -> None:
+    """Cast, finiteness-check and range-check the fields of a frozen dataclass.
+
+    ``spec`` lists ``(field, cast, allowed)`` triples. ``cast`` is int or
+    float, or a one-item tuple such as ``(float,)`` for a non-empty tuple field
+    whose items are each cast and checked. ``allowed`` is a key of RANGES; None
+    admits any finite value. Each failure raises ``error`` naming the field.
+    """
+    for name, cast, allowed in spec:
+        lo, hi = RANGES[allowed]
+        raw = getattr(obj, name)
+        try:
+            if type(cast) is tuple:
+                value = tuple(map(cast[0], raw))
+                ok = bool(value) and all(lo < item < hi for item in value)
+            else:
+                value = cast(raw)
+                ok = lo < value < hi
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{name}: {exc}") from exc
+        if not ok:
+            rule = "finite" if allowed is None else f"finite and {allowed}"
+            if type(cast) is tuple:
+                rule = f"a non-empty list of values each {rule}"
+            raise error(f"{name} must be {rule}, got {value!r}")
+        if value is not raw:
+            object.__setattr__(obj, name, value)
+

@@ -23,7 +23,6 @@ from .metrics import (
     concurrence,
     intrinsic_efficiency,
 )
-from .metrics import visibility as raw_visibility
 from .streams import substream
 
 __all__ = [
@@ -110,25 +109,14 @@ def fringe_counts(params: LinkParams, storage_time: float, seed,
 def measure_visibility(params: LinkParams, storage_time: float, seed,
                        phases: int = DEFAULT_PHASES,
                        shots_per_phase: int = DEFAULT_SHOTS_PER_PHASE,
-                       raw_bins: bool = False,
-                       ) -> tuple[float, float, FitResult | None]:
+                       ) -> tuple[float, float, FitResult]:
     """Measure the fringe visibility from sampled counts.
 
-    By default the visibility comes from the fitted sinusoid's extrema, which
-    shot noise cannot bias the way raw max/min bins can (the raw estimator
-    picks the most upward-fluctuated bin as the maximum). ``raw_bins=True``
-    selects the plain (max-min)/(max+min) of the binned counts instead; its
-    stderr is a Poisson propagation and no fit result is returned.
+    The visibility comes from the fitted sinusoid's extrema, which shot noise
+    cannot bias the way raw max/min bins can (the raw estimator picks the most
+    upward-fluctuated bin as the maximum).
     """
     samples = fringe_counts(params, storage_time, seed, phases, shots_per_phase)
-    if raw_bins:
-        top, bottom = float(samples.y.max()), float(samples.y.min())
-        value = raw_visibility(top, bottom)
-        # d(V)/d(max), d(V)/d(min) with independent Poisson extrema
-        total = top + bottom
-        stderr = (2.0 / total ** 2) * np.sqrt(bottom ** 2 * max(top, 1.0)
-                                              + top ** 2 * max(bottom, 1.0))
-        return value, float(stderr), None
     fit = fit_sinusoid(samples)
     return fit.params["visibility"], fit.stderr["visibility"], fit
 

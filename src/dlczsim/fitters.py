@@ -44,6 +44,9 @@ class Samples:
             raise ParameterError("x, y and weight must be 1-d arrays of equal length")
         if x.size < 2:
             raise ParameterError("at least 2 points are required")
+        for name, values in (("x", x), ("y", y), ("weight", w)):
+            if not np.isfinite(values).all():
+                raise ParameterError(f"{name} values must be finite (no NaN or inf)")
         if not (w > 0).all():
             raise ParameterError("weights must be positive")
         object.__setattr__(self, "x", x)

@@ -14,36 +14,24 @@ sampled from a truncated thermal law and detection is Bernoulli thinning.
 Interference coherence enters only through the closed-form fringe functions
 (`fringe_expectation`, `fringe_visibility`), never through sampling.
 
-Every sampling routine is pure in (params, seed) and exists in two layers:
-the single-train operations (`sample_write_train`, `herald_bsm`,
-`readout_pmn`) and a vectorized batch pipeline (`run_link_trials`) that the
-experiment drivers use. Both layers share the same array kernels.
+Sampling is one vectorized pipeline (`run_link_trials`) over array kernels
+that each handle a batch of trains; it is pure in (params, seed).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, check_fields
 from .streams import as_generator
 
 __all__ = [
-    "Node",
-    "StokesDetector",
-    "HeraldSign",
     "LinkParams",
-    "ModeExcitation",
-    "HeraldEvent",
     "PmnTable",
     "LinkTally",
-    "sample_write_train",
-    "herald_bsm",
-    "readout_pmn",
     "run_link_trials",
     "expected_window_detection",
     "expected_herald_probability",
@@ -55,26 +43,6 @@ __all__ = [
 # Fock truncation of the per-mode thermal law. Truncation error is O(chi^3),
 # negligible at the ~1% excitation probabilities this model targets.
 MAX_EXCITATION = 2
-
-
-class Node(Enum):
-    L = "L"
-    R = "R"
-
-
-class StokesDetector(Enum):
-    D_S1 = "D_S1"
-    D_S2 = "D_S2"
-
-
-class HeraldSign(Enum):
-    PLUS = "plus"
-    MINUS = "minus"
-
-
-def _check_unit_interval(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,21 +81,22 @@ class LinkParams:
     phase_as: float = 0.0
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            caster = int if f.type == "int" else float
-            try:
-                object.__setattr__(self, f.name, caster(getattr(self, f.name)))
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"{f.name}: {exc}") from exc
-        for name in ("chi", "retrieval_eff_zero", "detection_eff", "eta_td",
-                     "visibility_cap", "dark_count_prob", "crosstalk_eps"):
-            _check_unit_interval(name, getattr(self, name))
-        if self.mode_count < 1:
-            raise ParameterError(f"mode_count must be >= 1, got {self.mode_count}")
-        if self.pulse_interval <= 0 or self.train_duration <= 0:
-            raise ParameterError("pulse_interval and train_duration must be positive")
-        if self.memory_lifetime <= 0:
-            raise ParameterError("memory_lifetime must be positive")
+        check_fields(self, (
+            # chi = 1 has no normalizable thermal law
+            ("chi", float, "in [0, 1)"),
+            ("mode_count", int, ">= 1"),
+            ("pulse_interval", float, "> 0"),
+            ("train_duration", float, "> 0"),
+            ("retrieval_eff_zero", float, "in [0, 1]"),
+            ("memory_lifetime", float, "> 0"),
+            ("detection_eff", float, "in [0, 1]"),
+            ("eta_td", float, "in [0, 1]"),
+            ("visibility_cap", float, "in [0, 1]"),
+            ("dark_count_prob", float, "in [0, 1]"),
+            ("crosstalk_eps", float, "in [0, 1]"),
+            ("phase_s", float, None),
+            ("phase_as", float, None),
+        ))
         if self.pulse_interval * (self.mode_count - 1) > self.train_duration:
             raise ParameterError(
                 f"{self.mode_count} pulses at {self.pulse_interval} s spacing do not fit "
@@ -161,45 +130,6 @@ class LinkParams:
 
 
 @dataclass(frozen=True)
-class ModeExcitation:
-    """Occupation of one temporal mode of one node after the write train."""
-
-    node: Node
-    mode_index: int
-    excitation_number: int
-
-    def __post_init__(self):
-        if not 0 <= self.excitation_number <= MAX_EXCITATION:
-            raise ParameterError(
-                f"excitation_number must be in [0, {MAX_EXCITATION}], got {self.excitation_number}")
-        if self.mode_index < 0:
-            raise ParameterError(f"mode_index must be >= 0, got {self.mode_index}")
-
-
-@dataclass(frozen=True)
-class HeraldEvent:
-    """First Stokes click of a train: which detector, which window, when.
-
-    The sign convention is fixed: D_S1 heralds the + superposition, D_S2 the
-    - one. ``double_excitation`` marks windows where more than one photon
-    reached the measurement stage; such trials stay in the heralded sample
-    because no experiment could reject them at heralding time.
-    """
-
-    detector: StokesDetector
-    mode_index: int
-    herald_time: float
-    heralded_sign: HeraldSign
-    double_excitation: bool = False
-
-    def __post_init__(self):
-        expected = HeraldSign.PLUS if self.detector is StokesDetector.D_S1 else HeraldSign.MINUS
-        if self.heralded_sign is not expected:
-            raise ParameterError(
-                f"heralded_sign {self.heralded_sign} inconsistent with detector {self.detector}")
-
-
-@dataclass(frozen=True)
 class PmnTable:
     """Readout coincidence probabilities conditioned on a herald.
 
@@ -213,8 +143,8 @@ class PmnTable:
     p11: float
 
     def __post_init__(self):
-        for name in ("p00", "p01", "p10", "p11"):
-            _check_unit_interval(name, getattr(self, name))
+        check_fields(self, tuple((name, float, "in [0, 1]")
+                                 for name in ("p00", "p01", "p10", "p11")))
         if self.total > 1.0 + 1e-12:
             raise ParameterError(f"Pmn entries sum to {self.total} > 1")
 
@@ -270,9 +200,14 @@ def _first_herald(click1: np.ndarray, click2: np.ndarray, survivors: np.ndarray,
     """Earliest-window-wins herald selection.
 
     Returns (heralded mask, window index, detector code 0/1, double-excitation
-    flag), each shaped (trains,). When both detectors click in the winning
-    window the recorded detector is chosen uniformly (whichever latch fired
-    first in hardware; the model has no sub-window timing).
+    flag), each shaped (trains,). Later clicks in the same train are discarded
+    (the read pulse is already committed by feedforward). Detector code 0 is
+    D_S1 and heralds the + superposition, code 1 is D_S2 and heralds the - one.
+    When both detectors click in the winning window the recorded detector is
+    chosen uniformly (whichever latch fired first in hardware; the model has
+    no sub-window timing). The double-excitation flag marks windows where more
+    than one photon reached the measurement stage; such trains stay in the
+    heralded sample because no experiment could reject them at heralding time.
     """
     any_click = click1 | click2
     heralded = any_click.any(axis=1)
@@ -315,84 +250,6 @@ def _readout_counts(k: np.ndarray, window: np.ndarray, storage_time: float,
         m = m + (rng.random(n_tr) < params.dark_count_prob)
         n = n + (rng.random(n_tr) < params.dark_count_prob)
     return m, n
-
-
-# ---------------------------------------------------------------------------
-# single-train operations
-# ---------------------------------------------------------------------------
-
-def sample_write_train(params: LinkParams, rng_seed) -> tuple[list[ModeExcitation], list[ModeExcitation]]:
-    """Sample the excitation pattern left by one write train at both nodes.
-
-    Returns (excitations at L, excitations at R), one entry per temporal mode.
-    Deterministic for a fixed seed.
-    """
-    rng = as_generator(rng_seed)
-    k = _sample_excitations(params, 1, rng)[0]
-    exc_l = [ModeExcitation(Node.L, i, int(k[0, i])) for i in range(params.mode_count)]
-    exc_r = [ModeExcitation(Node.R, i, int(k[1, i])) for i in range(params.mode_count)]
-    return exc_l, exc_r
-
-
-def _excitation_array(exc_l: list[ModeExcitation], exc_r: list[ModeExcitation],
-                      params: LinkParams) -> np.ndarray:
-    if len(exc_l) != params.mode_count or len(exc_r) != params.mode_count:
-        raise ContractError(
-            f"excitation lists must cover all {params.mode_count} modes "
-            f"(got {len(exc_l)} and {len(exc_r)})")
-    k = np.zeros((1, 2, params.mode_count), dtype=np.int8)
-    for side, excs, node in ((0, exc_l, Node.L), (1, exc_r, Node.R)):
-        for e in excs:
-            if e.node is not node:
-                raise ContractError(f"expected node {node} excitation, got {e.node}")
-            if e.mode_index >= params.mode_count:
-                raise ContractError(f"mode_index {e.mode_index} >= mode_count {params.mode_count}")
-            k[0, side, e.mode_index] = e.excitation_number
-    return k
-
-
-def herald_bsm(exc_l: list[ModeExcitation], exc_r: list[ModeExcitation],
-               params: LinkParams, rng_seed) -> HeraldEvent | None:
-    """Interfere the two Stokes fields and return the herald, if any.
-
-    The first window with a click wins; later clicks in the same train are
-    discarded (the read pulse is already committed by feedforward). Returns
-    None when no window clicks.
-    """
-    rng = as_generator(rng_seed)
-    k = _excitation_array(exc_l, exc_r, params)
-    click1, click2, survivors = _stokes_clicks(k, params, rng)
-    heralded, window, detector, double = _first_herald(click1, click2, survivors, rng)
-    if not heralded[0]:
-        return None
-    det = StokesDetector.D_S1 if detector[0] == 0 else StokesDetector.D_S2
-    sign = HeraldSign.PLUS if det is StokesDetector.D_S1 else HeraldSign.MINUS
-    return HeraldEvent(
-        detector=det,
-        mode_index=int(window[0]),
-        herald_time=float(window[0]) * params.pulse_interval,
-        heralded_sign=sign,
-        double_excitation=bool(double[0]),
-    )
-
-
-def readout_pmn(herald: HeraldEvent | None, exc_l: list[ModeExcitation],
-                exc_r: list[ModeExcitation], storage_time: float,
-                params: LinkParams, rng_seed) -> tuple[int, int]:
-    """Read out the heralded mode and return the (m, n) click counts.
-
-    m counts clicks in the aS_R field, n in the aS_L field. Counts can exceed
-    1 when several photons arrive; threshold them when tallying a PmnTable.
-    """
-    if herald is None:
-        raise ContractError("readout_pmn requires a herald; none was produced for this train")
-    if storage_time < 0:
-        raise ParameterError(f"storage_time must be >= 0, got {storage_time}")
-    rng = as_generator(rng_seed)
-    k = _excitation_array(exc_l, exc_r, params)
-    window = np.array([herald.mode_index])
-    m, n = _readout_counts(k, window, storage_time, params, rng)
-    return int(m[0]), int(n[0])
 
 
 # ---------------------------------------------------------------------------

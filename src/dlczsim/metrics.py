@@ -70,6 +70,16 @@ class ConcurrenceResult:
     stderr: float | None = None
 
 
+def _concurrence_terms(p00, p01, p10, p11, visibility):
+    """(d, 2|d| - 2 sqrt(p00 p11)) with d = V (p01 + p10) / 2, elementwise.
+
+    The second term is the concurrence before normalization by the table
+    total; it broadcasts over arrays of cells and visibilities.
+    """
+    d = visibility * (p01 + p10) / 2.0
+    return d, 2.0 * np.abs(d) - 2.0 * np.sqrt(p00 * p11)
+
+
 def concurrence(pmn: PmnTable, visibility: float) -> ConcurrenceResult:
     """Concurrence of the heralded two-mode state from its Pmn table.
 
@@ -82,8 +92,8 @@ def concurrence(pmn: PmnTable, visibility: float) -> ConcurrenceResult:
     total = pmn.total
     if total == 0.0:
         raise EstimatorError("concurrence is undefined: all four Pmn cells are zero")
-    d = visibility * (pmn.p01 + pmn.p10) / 2.0
-    value = (2.0 * abs(d) - 2.0 * float(np.sqrt(pmn.p00 * pmn.p11))) / total
+    d, unnormalized = _concurrence_terms(*pmn.as_tuple(), visibility)
+    value = float(unnormalized) / total
     return ConcurrenceResult(
         concurrence=min(max(0.0, value), 1.0),
         coherence=d,
@@ -115,8 +125,9 @@ def bootstrap_concurrence_stderr(pmn_counts, visibility: float, seed,
     vs = np.full(replicates, visibility)
     if visibility_stderr > 0.0:
         vs = np.clip(rng.normal(visibility, visibility_stderr, size=replicates), 0.0, 1.0)
-    d = vs * (resampled[:, 1] + resampled[:, 2]) / 2.0
-    values = np.maximum(0.0, 2.0 * d - 2.0 * np.sqrt(resampled[:, 0] * resampled[:, 3]))
+    # Dirichlet rows sum to 1 only to rounding; they are used as drawn
+    _, values = _concurrence_terms(*resampled.T, vs)
+    values = np.maximum(0.0, values)
     return float(values.std(ddof=1))
 
 

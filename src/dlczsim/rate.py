@@ -10,11 +10,10 @@ Monte Carlo counterpart in `chain_sim` quantifies how optimistic that is.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from .errors import ParameterError, StalledChainError
+from .errors import ParameterError, StalledChainError, check_fields
 
 __all__ = ["ChainParams", "ChainReport", "elementary_p0", "multiplexed_success", "swap_chain"]
 
@@ -51,22 +50,22 @@ class ChainParams:
     swap_intrinsic_factor: float = 1.0
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            caster = int if f.type == "int" else float
-            try:
-                object.__setattr__(self, f.name, caster(getattr(self, f.name)))
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"{f.name}: {exc}") from exc
-        for name in ("eta_fc", "eta_td", "chi", "r0", "swap_intrinsic_factor"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
-        if self.l0 <= 0 or self.l_att <= 0 or self.fiber_speed <= 0 or self.tau0 <= 0:
-            raise ParameterError("l0, l_att, fiber_speed and tau0 must be positive")
-        if self.n_levels < 0:
-            raise ParameterError(f"n_levels must be >= 0, got {self.n_levels}")
-        if self.mode_count < 1:
-            raise ParameterError(f"mode_count must be >= 1, got {self.mode_count}")
+        check_fields(self, (
+            ("l0", float, "> 0"),
+            ("l_att", float, "> 0"),
+            ("n_levels", int, ">= 0"),
+            ("fiber_speed", float, "> 0"),
+            ("eta_fc", float, "in [0, 1]"),
+            ("eta_td", float, "in [0, 1]"),
+            ("chi", float, "in [0, 1]"),
+            ("mode_count", int, ">= 1"),
+            ("r0", float, "in [0, 1]"),
+            ("tau0", float, "> 0"),
+            ("swap_intrinsic_factor", float, "in [0, 1]"),
+        ))
+        if not 0.0 < self.t_cc < math.inf:
+            raise ParameterError(
+                f"T_cc = l0/fiber_speed = {self.t_cc!r} s is not a positive finite time")
 
     @property
     def t_cc(self) -> float:

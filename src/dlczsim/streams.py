@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
+
 __all__ = ["substream", "as_generator"]
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator for ``path`` under the given root seed."""
-    if not all(isinstance(p, (int, np.integer)) and p >= 0 for p in path):
-        raise ValueError(f"stream path must be non-negative integers, got {path!r}")
+    if not all(isinstance(p, (int, np.integer)) and p >= 0 for p in (seed, *path)):
+        raise ParameterError(
+            f"seed and stream path must be non-negative integers, got {(seed, *path)!r}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(int(p) for p in path)))
 
 

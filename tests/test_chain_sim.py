@@ -156,3 +156,8 @@ class TestChain:
             SimConfig(chain=PROJECTION, trials=0, seed=0)
         with pytest.raises(ParameterError):
             SimConfig(chain=PROJECTION, trials=10, seed=0, max_sim_time=1e-9)
+        with pytest.raises(ParameterError, match="seed"):
+            SimConfig(chain=PROJECTION, trials=10, seed=-1)
+        for guard in (math.inf, math.nan, 1e308):
+            with pytest.raises(ParameterError, match="max_sim_time"):
+                SimConfig(chain=PROJECTION, trials=10, seed=0, max_sim_time=guard)

@@ -85,6 +85,20 @@ class TestSimulate:
         assert trace_bytes[0] == trace_bytes[1] == trace_bytes[2]
         assert latency_bytes[0] == latency_bytes[1] == latency_bytes[2]
 
+    @pytest.mark.parametrize("max_sim_time", ["inf", "nan"])
+    def test_non_finite_max_sim_time_exits_three_before_any_trial(
+            self, tmp_path, monkeypatch, max_sim_time):
+        config = write_chain_config(tmp_path)
+        body = config.read_text().replace("max_sim_time_s = 3600.0",
+                                          f"max_sim_time_s = {max_sim_time}")
+        config.write_text(body)
+        started = []
+        monkeypatch.setattr(cli, "simulate_chain", lambda *a, **k: started.append(a))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--out-dir", out]) == 3
+        assert started == []
+        assert not (out / "manifest.json").exists()
+
     def test_timeout_dominated_run_exits_four(self, tmp_path):
         config = write_chain_config(tmp_path, chi=1e-5)
         body = config.read_text().replace("max_sim_time_s = 3600.0", "max_sim_time_s = 0.05")
@@ -111,6 +125,12 @@ class TestLinkExperiment:
         modes = (out / "mode_scan.csv").read_text().splitlines()
         assert modes[0] == "mode_count,P_D,C"
         assert len(modes) == 3
+
+    def test_negative_seed_exits_three(self, tmp_path):
+        config = tmp_path / "link.ini"
+        config.write_text("[link]\nchi = 0.01\n[experiment]\nstorage_times_us = 1.0\n"
+                          "mode_counts = 1\ntrains = 100\nwindow_budget = 100\n")
+        assert run(["link-experiment", "--config", config, "--seed", -3]) == 3
 
     def test_zero_heralds_exits_four(self, tmp_path):
         config = tmp_path / "link.ini"
@@ -155,6 +175,16 @@ class TestFit:
         csv.write_text("a,b\n1,2\n")
         assert run(["fit", csv, "--model", "linear"]) == 2
 
+    @pytest.mark.parametrize("model", ["exp", "linear"])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_csv_value_exits_three(self, tmp_path, model, column, bad):
+        rows = [[0.0, 0.7, 1.0], [1e-4, 0.5, 1.0], [2e-4, 0.36, 1.0], [3e-4, 0.26, 1.0]]
+        rows[1][column] = bad
+        csv = tmp_path / "data.csv"
+        csv.write_text("x,y,weight\n" + "\n".join(",".join(map(str, r)) for r in rows))
+        assert run(["fit", csv, "--model", model]) == 3
+
     def test_non_convergence_exits_five(self, tmp_path, monkeypatch):
         csv = tmp_path / "data.csv"
         csv.write_text("x,y\n1.0,1.0\n2.0,2.0\n")
@@ -162,6 +192,47 @@ class TestFit:
                           stderr={"slope": 0.0}, rss=0.0, converged=False, iterations=200)
         monkeypatch.setitem(cli._FIT_DISPATCH, "linear", lambda samples: stuck)
         assert run(["fit", csv, "--model", "linear"]) == 5
+
+
+class TestManifest:
+    """manifest.json is written on success, on a stalled rate, on simulate's
+    exit 4 and on fit's exit 5, and never when a command raises."""
+
+    def test_written_for_stalled_rate(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["rate", "--config", write_chain_config(tmp_path, chi=0.0),
+                    "--out-dir", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / "rate.json")]
+
+    def test_written_for_timeout_exit(self, tmp_path):
+        config = write_chain_config(tmp_path, chi=1e-5)
+        body = config.read_text().replace("max_sim_time_s = 3600.0", "max_sim_time_s = 0.05")
+        config.write_text(body)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--out-dir", out]) == 4
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / "latency.csv"), str(out / "trace.json")]
+
+    def test_written_for_non_convergence_exit(self, tmp_path, monkeypatch):
+        csv = tmp_path / "data.csv"
+        csv.write_text("x,y\n1.0,1.0\n2.0,2.0\n")
+        stuck = FitResult(model="linear_origin", params={"slope": 1.0},
+                          stderr={"slope": 0.0}, rss=0.0, converged=False, iterations=200)
+        monkeypatch.setitem(cli._FIT_DISPATCH, "linear", lambda samples: stuck)
+        out = tmp_path / "out"
+        assert run(["fit", csv, "--model", "linear", "--out-dir", out]) == 5
+        assert json.loads((out / "manifest.json").read_text())["command"] == "fit"
+
+    def test_absent_after_an_error_exit(self, tmp_path):
+        out = tmp_path / "out"
+        config = tmp_path / "link.ini"
+        config.write_text("[link]\nchi = 0.0\n[experiment]\nstorage_times_us = 1.0\n"
+                          "mode_counts = 1\ntrains = 100\nwindow_budget = 100\n")
+        assert run(["link-experiment", "--config", config, "--out-dir", out]) == 4
+        assert run(["rate", "--config", write_chain_config(tmp_path, chi=1.5),
+                    "--out-dir", out]) == 3
+        assert not (out / "manifest.json").exists()
 
 
 class TestSweep:

@@ -113,3 +113,10 @@ class TestExperimentConfigValidation:
     def test_rejects_nonpositive_budgets(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(trains=0)
+        with pytest.raises(ConfigError, match="fringe_shots"):
+            ExperimentConfig(fringe_shots=-1)
+
+    def test_rejects_non_finite_storage_times(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="storage_times_us"):
+                ExperimentConfig(storage_times_us=(1.0, bad))

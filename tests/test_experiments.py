@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from dlczsim.calibration import calibrated_link_params
 from dlczsim.experiments import (
@@ -21,27 +20,6 @@ class TestMeasureVisibility:
         assert fit is not None and fit.converged
         truth = fringe_visibility(calibrated, 1e-6)[1]
         assert abs(vis - truth) < 4 * stderr
-
-    def test_raw_bin_mode(self, calibrated):
-        vis, stderr, fit = measure_visibility(calibrated, 1e-6, substream(1, 1),
-                                              shots_per_phase=40_000, raw_bins=True)
-        assert fit is None
-        truth = fringe_visibility(calibrated, 1e-6)[1]
-        # raw extrema ride the noise upward, so allow the bias plus noise
-        assert vis == pytest.approx(truth, abs=5 * stderr + 0.02)
-        assert vis >= truth - 4 * stderr
-
-    def test_raw_bins_biased_above_fit_on_average(self, calibrated):
-        # the documented reason the fitted estimator is the default
-        fitted, raw = [], []
-        for i in range(25):
-            f, _, _ = measure_visibility(calibrated, 1e-6, substream(2, i),
-                                         shots_per_phase=2_000)
-            r, _, _ = measure_visibility(calibrated, 1e-6, substream(2, i),
-                                         shots_per_phase=2_000, raw_bins=True)
-            fitted.append(f)
-            raw.append(r)
-        assert np.mean(raw) > np.mean(fitted)
 
     def test_deterministic_per_seed(self, calibrated):
         a = measure_visibility(calibrated, 1e-6, substream(3, 0))

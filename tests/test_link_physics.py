@@ -3,24 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from dlczsim.errors import ContractError, ParameterError
+from dlczsim.errors import ParameterError
 from dlczsim.fitters import Samples, fit_exponential
 from dlczsim.link_physics import (
-    HeraldSign,
     LinkParams,
-    ModeExcitation,
-    Node,
     PmnTable,
-    StokesDetector,
+    _first_herald,
+    _readout_counts,
+    _sample_excitations,
+    _stokes_clicks,
     expected_herald_probability,
     expected_pmn,
     expected_window_detection,
     fringe_expectation,
     fringe_visibility,
-    herald_bsm,
-    readout_pmn,
     run_link_trials,
-    sample_write_train,
 )
 from dlczsim.metrics import concurrence
 from dlczsim.streams import substream
@@ -36,6 +33,12 @@ class TestLinkParams:
             LinkParams(chi=1.5)
         with pytest.raises(ParameterError):
             LinkParams(chi=0.01, detection_eff=-0.1)
+        # chi = 1 has no normalizable thermal law
+        with pytest.raises(ParameterError, match="chi"):
+            LinkParams(chi=1.0)
+        for name in ("chi", "memory_lifetime", "phase_s"):
+            with pytest.raises(ParameterError, match=name):
+                LinkParams(**{"chi": 0.01, name: math.nan})
 
     def test_rejects_pulse_train_overflow(self):
         with pytest.raises(ParameterError):
@@ -53,19 +56,36 @@ class TestLinkParams:
         assert probs[1] / probs[0] == pytest.approx(0.3, abs=1e-15)
 
 
+L, R = 0, 1   # node axis of the (trains, 2, N) occupation array
+
+
+def _occupation(params, excited, trains=1):
+    """(trains, 2, N) occupation array with the given {(node, mode): k}, every train alike."""
+    k = np.zeros((trains, 2, params.mode_count), dtype=np.int8)
+    for (node, mode), count in excited.items():
+        k[:, node, mode] = count
+    return k
+
+
+def _herald(params, k, seed):
+    """Stokes measurement and herald selection on one stream, as run_link_trials does."""
+    rng = substream(seed, 0)
+    click1, click2, survivors = _stokes_clicks(k, params, rng)
+    return _first_herald(click1, click2, survivors, rng)
+
+
 class TestSampleWriteTrain:
     def test_zero_chi_leaves_everything_unexcited(self):
         params = LinkParams(chi=0.0)
-        exc_l, exc_r = sample_write_train(params, 1)
-        assert all(e.excitation_number == 0 for e in exc_l + exc_r)
-        assert [e.mode_index for e in exc_l] == list(range(12))
+        k = _sample_excitations(params, 1000, substream(1, 0))
+        assert k.shape == (1000, 2, 12)
+        assert not k.any()
 
     def test_excitation_fraction_matches_chi_at_one_percent(self):
         # chi = 1%: the per-mode excited fraction equals the truncated-law
         # value (within 2e-7 of 0.01) over 10^6 trains
         params = LinkParams(chi=0.01)
         rng = substream(42, 0)
-        from dlczsim.link_physics import _sample_excitations
         k = _sample_excitations(params, 1_000_000, rng)
         frac = (k >= 1).mean()
         n_slots = k.size
@@ -74,7 +94,6 @@ class TestSampleWriteTrain:
     def test_double_to_single_ratio_is_chi(self):
         # oracle: truncated thermal law has P(2)/P(1) = chi exactly
         params = LinkParams(chi=0.5, mode_count=1)
-        from dlczsim.link_physics import _sample_excitations
         k = _sample_excitations(params, 400_000, substream(7, 0))
         ones = (k == 1).sum()
         twos = (k == 2).sum()
@@ -83,60 +102,53 @@ class TestSampleWriteTrain:
 
     def test_deterministic_for_fixed_seed(self):
         params = LinkParams(chi=0.05)
-        assert sample_write_train(params, 99) == sample_write_train(params, 99)
-
-
-def _excitations(params, excited):
-    """Build (exc_l, exc_r) with the given {(node, mode): k} occupation."""
-    exc_l = [ModeExcitation(Node.L, i, excited.get((Node.L, i), 0))
-             for i in range(params.mode_count)]
-    exc_r = [ModeExcitation(Node.R, i, excited.get((Node.R, i), 0))
-             for i in range(params.mode_count)]
-    return exc_l, exc_r
+        a = _sample_excitations(params, 100, substream(99, 0))
+        b = _sample_excitations(params, 100, substream(99, 0))
+        assert np.array_equal(a, b)
 
 
 class TestHeraldBsm:
     def test_no_excitation_no_dark_gives_no_herald(self):
         params = LinkParams(chi=0.01)
-        exc_l, exc_r = _excitations(params, {})
-        assert herald_bsm(exc_l, exc_r, params, 3) is None
+        heralded, _, _, _ = _herald(params, _occupation(params, {}, trains=100), 3)
+        assert not heralded.any()
 
     def test_single_photon_heralds_its_window_with_fair_split(self):
         # one photon at a 50/50 splitter: D_S1 and D_S2 at 1/2 each
         params = LinkParams(chi=0.01, eta_td=1.0)
-        exc_l, exc_r = _excitations(params, {(Node.L, 3): 1})
-        counts = {StokesDetector.D_S1: 0, StokesDetector.D_S2: 0}
         trials = 4000
-        for seed in range(trials):
-            event = herald_bsm(exc_l, exc_r, params, seed)
-            assert event is not None
-            assert event.mode_index == 3
-            assert event.herald_time == pytest.approx(3 * params.pulse_interval)
-            assert not event.double_excitation
-            counts[event.detector] += 1
-        assert abs(counts[StokesDetector.D_S1] / trials - 0.5) < 3 * binom_sigma(0.5, trials)
+        k = _occupation(params, {(L, 3): 1}, trains=trials)
+        heralded, window, detector, double = _herald(params, k, 0)
+        assert heralded.all()
+        assert (window == 3).all()
+        assert not double.any()
+        assert abs((detector == 0).mean() - 0.5) < 3 * binom_sigma(0.5, trials)
 
     def test_sign_convention_follows_detector(self):
-        params = LinkParams(chi=0.01, eta_td=1.0)
-        exc_l, exc_r = _excitations(params, {(Node.R, 0): 1})
-        event = herald_bsm(exc_l, exc_r, params, 12)
-        expected = (HeraldSign.PLUS if event.detector is StokesDetector.D_S1
-                    else HeraldSign.MINUS)
-        assert event.heralded_sign is expected
+        # code 0 is D_S1 (heralds +), code 1 is D_S2 (heralds -); a lone click
+        # fixes the code without a coin flip
+        click1 = np.array([[False, True], [False, False]])
+        click2 = np.array([[False, False], [False, True]])
+        survivors = (click1 | click2).astype(np.int64)
+        heralded, window, detector, _ = _first_herald(click1, click2, survivors,
+                                                      substream(12, 0))
+        assert heralded.all()
+        assert window.tolist() == [1, 1]
+        assert detector.tolist() == [0, 1]
 
     def test_earliest_window_wins(self):
         params = LinkParams(chi=0.01, eta_td=1.0)
-        exc_l, exc_r = _excitations(params, {(Node.L, 2): 1, (Node.R, 9): 1})
-        for seed in range(50):
-            event = herald_bsm(exc_l, exc_r, params, seed)
-            assert event.mode_index == 2
+        k = _occupation(params, {(L, 2): 1, (R, 9): 1}, trains=50)
+        heralded, window, _, _ = _herald(params, k, 0)
+        assert heralded.all()
+        assert (window == 2).all()
 
     def test_two_photons_flag_double_excitation(self):
         params = LinkParams(chi=0.01, eta_td=1.0)
-        exc_l, exc_r = _excitations(params, {(Node.L, 5): 1, (Node.R, 5): 1})
-        event = herald_bsm(exc_l, exc_r, params, 4)
-        assert event.mode_index == 5
-        assert event.double_excitation
+        k = _occupation(params, {(L, 5): 1, (R, 5): 1})
+        heralded, window, _, double = _herald(params, k, 4)
+        assert heralded[0] and window[0] == 5
+        assert double[0]
 
     def test_herald_probability_matches_closed_form(self, calibrated):
         tally = run_link_trials(calibrated, 1e-6, 200_000, substream(11, 0))
@@ -162,33 +174,35 @@ class TestReadout:
     def test_lossless_single_excitation_reads_out_exactly_once(self):
         params = LinkParams(chi=0.01, eta_td=1.0, detection_eff=1.0,
                             retrieval_eff_zero=1.0, crosstalk_eps=0.0)
-        exc_l, exc_r = _excitations(params, {(Node.L, 1): 1})
-        herald = herald_bsm(exc_l, exc_r, params, 0)
-        m, n = readout_pmn(herald, exc_l, exc_r, 0.0, params, 8)
-        assert (m, n) == (0, 1)  # the L spin wave reads out into aS_L
-        exc_l, exc_r = _excitations(params, {(Node.R, 1): 1})
-        herald = herald_bsm(exc_l, exc_r, params, 0)
-        m, n = readout_pmn(herald, exc_l, exc_r, 0.0, params, 8)
-        assert (m, n) == (1, 0)
+        window = np.array([1])
+        m, n = _readout_counts(_occupation(params, {(L, 1): 1}), window, 0.0, params,
+                               substream(8, 0))
+        assert (m[0], n[0]) == (0, 1)  # the L spin wave reads out into aS_L
+        m, n = _readout_counts(_occupation(params, {(R, 1): 1}), window, 0.0, params,
+                               substream(8, 0))
+        assert (m[0], n[0]) == (1, 0)
 
     def test_requires_a_herald(self):
-        params = LinkParams(chi=0.01)
-        exc_l, exc_r = _excitations(params, {})
-        with pytest.raises(ContractError):
-            readout_pmn(None, exc_l, exc_r, 0.0, params, 0)
+        # only heralded trains are read out: with nothing to herald, no
+        # readout is tallied and no Pmn table can be formed
+        params = LinkParams(chi=0.0)
+        tally = run_link_trials(params, 0.0, 1000, substream(0, 0))
+        assert tally.heralded == 0
+        assert not tally.pmn_counts.any()
+        with pytest.raises(ParameterError):
+            tally.pmn()
 
     def test_conversion_probability_after_one_lifetime(self):
         # oracle: R0 * exp(-1) = 0.707/e = 0.260091
         params = LinkParams(chi=0.01, eta_td=1.0, detection_eff=1.0,
                             retrieval_eff_zero=0.707, memory_lifetime=0.3e-3)
-        exc_l, exc_r = _excitations(params, {(Node.L, 0): 1})
-        herald = herald_bsm(exc_l, exc_r, params, 0)
-        rng = substream(21, 0)
-        hits = sum(readout_pmn(herald, exc_l, exc_r, 0.3e-3, params, rng)[1]
-                   for _ in range(20_000))
+        trains = 20_000
+        k = _occupation(params, {(L, 0): 1}, trains=trains)
+        _, n = _readout_counts(k, np.zeros(trains, dtype=np.int64), 0.3e-3, params,
+                               substream(21, 0))
         expected = 0.707 * math.exp(-1.0)
         assert expected == pytest.approx(0.260091, abs=5e-6)
-        assert abs(hits / 20_000 - expected) < 3 * binom_sigma(expected, 20_000)
+        assert abs(n.mean() - expected) < 3 * binom_sigma(expected, trains)
 
     def test_decay_curve_recovers_lifetime(self, clean_link):
         # sampled conversion efficiency vs storage time refits (R0, tau0)

@@ -35,6 +35,33 @@ class TestElementaryP0:
             ChainParams(n_levels=-1)
 
 
+class TestChainParamsValidation:
+    def test_nan_tau0_is_rejected(self):
+        with pytest.raises(ParameterError, match="tau0"):
+            ChainParams(tau0=math.nan)
+
+    def test_nan_fiber_speed_is_rejected(self):
+        with pytest.raises(ParameterError, match="fiber_speed"):
+            ChainParams(fiber_speed=math.nan)
+
+    def test_nan_l0_message_names_l0_not_p0(self):
+        with pytest.raises(ParameterError, match=r"^l0 must be finite") as info:
+            ChainParams(l0=math.nan)
+        assert "p0" not in str(info.value)
+
+    def test_infinite_values_are_rejected(self):
+        for name in ("l0", "l_att", "fiber_speed", "tau0"):
+            with pytest.raises(ParameterError, match=name):
+                ChainParams(**{name: math.inf})
+
+    def test_communication_interval_must_be_a_positive_finite_time(self):
+        # l0 / fiber_speed underflows to 0 or overflows to inf
+        with pytest.raises(ParameterError, match="T_cc"):
+            ChainParams(l0=1e-320)
+        with pytest.raises(ParameterError, match="T_cc"):
+            ChainParams(fiber_speed=1e-320)
+
+
 class TestMultiplexedSuccess:
     def test_single_mode_identity(self):
         for p in (0.0, 1e-4, 0.3, 1.0):
