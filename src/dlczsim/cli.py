@@ -33,7 +33,7 @@ from .config_io import (
     write_csv_atomic,
     write_text_atomic,
 )
-from .errors import ConfigError, DlczSimError, NoHeraldsError, StalledChainError
+from .errors import ConfigError, DlczSimError, NoHeraldsError, ParameterError, StalledChainError
 from .experiments import mode_count_scan, storage_time_scan
 from .fitters import Samples, fit_exponential, fit_linear_origin, fit_sinusoid
 from .rate import ChainParams, swap_chain
@@ -48,7 +48,6 @@ EXIT_NO_CONVERGENCE = 5
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="INI configuration file")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--trials", type=int, help="override the config trial count")
     parser.add_argument("--out-dir", type=Path, help="directory for result files")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
                         help="result file format where both apply")
@@ -67,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo chain simulation")
     _common_flags(p_sim)
+    p_sim.add_argument("--trials", type=int, help="override the config trial count")
     p_sim.add_argument("--workers", type=int, default=1,
                        help="parallel worker processes (results identical for any count)")
     p_sim.add_argument("--elementary", action="store_true",
@@ -148,6 +148,10 @@ def cmd_rate(args) -> int:
         run.emit("rate.json", write_text_atomic,
                  canonical_json({"rate_hz": 0.0, "stalled_level": exc.level}))
         return run.finish(config_as_dict(config), config.seed)
+    for level, t_i in enumerate(report.level_time, start=1):
+        if not math.isfinite(t_i):
+            # the rate is then 0, but no result file can hold an infinite time
+            raise ParameterError(f"the level-{level} mean time t_{level} overflows")
 
     print(f"T_cc_s          {format_float(report.t_cc)}")
     print(f"P0              {format_float(report.p0)}")

@@ -60,7 +60,7 @@ class ExperimentConfig:
             ("mode_counts", (int,), ">= 1"),
             ("trains", int, ">= 1"),
             ("window_budget", int, ">= 1"),
-            ("fringe_phases", int, None),
+            ("fringe_phases", int, ">= 4"),     # a sinusoid fit needs 4 phases
             ("fringe_shots", int, ">= 0"),
         ), ConfigError)
 

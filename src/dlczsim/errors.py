@@ -59,6 +59,7 @@ RANGES = {
     "> 0": (0.0, math.inf),
     ">= 0": (_BELOW_ZERO, math.inf),
     ">= 1": (math.nextafter(1.0, 0.0), math.inf),
+    ">= 4": (math.nextafter(4.0, 0.0), math.inf),
 }
 
 

@@ -14,8 +14,16 @@ sampled from a truncated thermal law and detection is Bernoulli thinning.
 Interference coherence enters only through the closed-form fringe functions
 (`fringe_expectation`, `fringe_visibility`), never through sampling.
 
-Sampling is one vectorized pipeline (`run_link_trials`) over array kernels
-that each handle a batch of trains; it is pure in (params, seed).
+Sampling is one vectorized pipeline (`run_link_trials`) over a batch of trains,
+pure in (params, seed). It is sparse: at chi ~ 1% almost every (train, node,
+mode) slot is vacuum, so the stages carry only what can matter. The excited
+slots are drawn as a Bernoulli(1 - P(0)) process over the flattened slot index
+(a binomial count, then uniform positions) and each gets k = 1 or 2; Stokes
+survivors are drawn on those slots alone and summed per window; dark clicks,
+when enabled, are drawn the same way per detector over the windows. A train's
+herald is its earliest clicking window, and the readout looks up k at that
+window in the sorted excited slots. The law of every tally is that of i.i.d.
+slots and windows, which the closed forms below state exactly.
 """
 
 from __future__ import annotations
@@ -164,91 +172,143 @@ class PmnTable:
 
 
 # ---------------------------------------------------------------------------
-# sampling kernels (arrays shaped (trains, 2, N); axis 1 is [L, R])
+# sampling stages, sparse over one chunk of trains
+#
+# A slot is one (train, node, mode), flattened as (2 * train + node) * N + mode
+# with node 0 = L and 1 = R; a window is one (train, mode), flattened as
+# train * N + mode. The stages carry only the excited slots and the clicking
+# windows, each in ascending index order.
 # ---------------------------------------------------------------------------
 
-def _sample_excitations(params: LinkParams, n_trains: int, rng: np.random.Generator) -> np.ndarray:
-    """Occupation numbers k for every (train, node, mode), via one uniform each."""
-    probs = params.occupation_probs()
-    u = rng.random((n_trains, 2, params.mode_count))
-    k = (u >= probs[0]).astype(np.int8)
-    k += u >= probs[0] + probs[1]
-    return k
+def _bernoulli_positions(size: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices in range(size) of i.i.d. Bernoulli(p) successes.
 
-
-def _stokes_clicks(k: np.ndarray, params: LinkParams, rng: np.random.Generator):
-    """Per-window Stokes measurement.
-
-    Each photon independently survives the path with probability eta_td and
-    then exits the beam splitter toward either detector with probability 1/2;
-    dark counts add false clicks. Returns (click1, click2, survivors), all
-    shaped (trains, N).
+    Exact: a binomial count, then a uniform subset of that many indices.
     """
-    survivors = rng.binomial(k.astype(np.int64), params.eta_td).sum(axis=1)
+    count = rng.binomial(size, p)
+    return np.sort(rng.choice(size, count, replace=False, shuffle=False))
+
+
+def _group(keys: np.ndarray):
+    """Sorted distinct non-negative ``keys`` and the group index of each key.
+
+    The same as np.unique(keys, return_inverse=True), by one stable sort;
+    np.unique's hash path is orders of magnitude slower on large int arrays.
+    """
+    order = np.argsort(keys, kind="stable")
+    new = np.diff(keys[order], prepend=-1) != 0
+    inverse = np.empty(keys.size, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return keys[order][new], inverse
+
+
+def _sample_excitations(params: LinkParams, n_trains: int, rng: np.random.Generator):
+    """Excited slots of ``n_trains`` write trains and their occupation numbers.
+
+    Each slot is excited with probability 1 - P(0), independently, and then
+    holds k = 2 with probability P(2) / (1 - P(0)), else k = 1. Returns
+    (slot, k): the sorted excited slot indices and their int64 k.
+    """
+    probs = params.occupation_probs()
+    p_excited = probs[1] + probs[2]
+    slot = _bernoulli_positions(n_trains * 2 * params.mode_count, p_excited, rng)
+    k = 1 + (rng.random(slot.size) * p_excited < probs[2])
+    return slot, k
+
+
+def _stokes_clicks(slot: np.ndarray, k: np.ndarray, n_trains: int, params: LinkParams,
+                   rng: np.random.Generator):
+    """Per-window Stokes measurement of the windows that click.
+
+    Each photon independently survives the path with probability eta_td; a
+    window's survivors from both nodes exit the beam splitter toward either
+    detector with probability 1/2 each; dark counts add false clicks per
+    detector and window. Returns (window, click1, click2, survivors) over the
+    windows where either detector clicked, window ascending.
+    """
+    n_modes = params.mode_count
+    photons = rng.binomial(k, params.eta_td)
+    lit = photons > 0
+    window, inverse = _group(slot[lit] // (2 * n_modes) * n_modes + slot[lit] % n_modes)
+    survivors = np.bincount(inverse, weights=photons[lit],
+                            minlength=window.size).astype(np.int64)
     to_d1 = rng.binomial(survivors, 0.5)
     click1 = to_d1 > 0
-    click2 = (survivors - to_d1) > 0
+    click2 = survivors > to_d1
     if params.dark_count_prob > 0.0:
-        shape = survivors.shape
-        click1 |= rng.random(shape) < params.dark_count_prob
-        click2 |= rng.random(shape) < params.dark_count_prob
-    return click1, click2, survivors
+        dark1 = _bernoulli_positions(n_trains * n_modes, params.dark_count_prob, rng)
+        dark2 = _bernoulli_positions(n_trains * n_modes, params.dark_count_prob, rng)
+        merged = _group(np.concatenate([window, dark1, dark2]))[0]
+        spread = np.zeros((3, merged.size), dtype=np.int64)
+        spread[:, np.searchsorted(merged, window)] = click1, click2, survivors
+        spread[0, np.searchsorted(merged, dark1)] = 1
+        spread[1, np.searchsorted(merged, dark2)] = 1
+        window, survivors = merged, spread[2]
+        click1, click2 = spread[:2].astype(bool)
+    return window, click1, click2, survivors
 
 
-def _first_herald(click1: np.ndarray, click2: np.ndarray, survivors: np.ndarray,
-                  rng: np.random.Generator):
+def _first_herald(window: np.ndarray, click1: np.ndarray, click2: np.ndarray,
+                  survivors: np.ndarray, mode_count: int, rng: np.random.Generator):
     """Earliest-window-wins herald selection.
 
-    Returns (heralded mask, window index, detector code 0/1, double-excitation
-    flag), each shaped (trains,). Later clicks in the same train are discarded
-    (the read pulse is already committed by feedforward). Detector code 0 is
-    D_S1 and heralds the + superposition, code 1 is D_S2 and heralds the - one.
-    When both detectors click in the winning window the recorded detector is
-    chosen uniformly (whichever latch fired first in hardware; the model has
-    no sub-window timing). The double-excitation flag marks windows where more
+    A train's herald is its earliest clicking window. Returns (train, mode,
+    detector code 0/1, double-excitation flag), one entry per heralded train,
+    train ascending. Later clicks in the same train are discarded (the read
+    pulse is already committed by feedforward). Detector code 0 is D_S1 and
+    heralds the + superposition, code 1 is D_S2 and heralds the - one. When
+    both detectors click in the winning window the recorded detector is chosen
+    uniformly (whichever latch fired first in hardware; the model has no
+    sub-window timing). The double-excitation flag marks windows where more
     than one photon reached the measurement stage; such trains stay in the
     heralded sample because no experiment could reject them at heralding time.
     """
-    any_click = click1 | click2
-    heralded = any_click.any(axis=1)
-    window = np.argmax(any_click, axis=1)
-    rows = np.arange(click1.shape[0])
-    c1 = click1[rows, window]
-    c2 = click2[rows, window]
-    detector = np.where(c1 & ~c2, 0, np.where(c2 & ~c1, 1, (rng.random(len(rows)) < 0.5).astype(np.int64)))
-    double = survivors[rows, window] >= 2
-    return heralded, window, detector, double
+    train = window // mode_count
+    first = np.flatnonzero(np.diff(train, prepend=-1))
+    c1, c2 = click1[first], click2[first]
+    detector = (~c1).astype(np.int64)       # a lone click fixes the code
+    tie = c1 & c2
+    detector[tie] = rng.random(int(tie.sum())) < 0.5
+    return train[first], window[first] % mode_count, detector, survivors[first] >= 2
 
 
-def _readout_counts(k: np.ndarray, window: np.ndarray, storage_time: float,
-                    params: LinkParams, rng: np.random.Generator):
+def _occupation_at(slot: np.ndarray, k: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """k of each queried slot: looked up in the sorted excited slots, 0 if absent."""
+    at = np.searchsorted(slot, query)
+    hit = np.append(slot, -1)[at] == query    # a query past the last slot meets -1
+    return np.where(hit, np.append(k, 0)[at], 0)
+
+
+def _readout_counts(slot: np.ndarray, k: np.ndarray, train: np.ndarray, mode: np.ndarray,
+                    storage_time: float, params: LinkParams, rng: np.random.Generator):
     """Anti-Stokes click counts (m at aS_R, n at aS_L) for heralded trains.
 
-    The addressed mode's excitations each convert and get detected with
+    ``train`` and ``mode`` name each heralded train and its herald window. The
+    addressed mode's excitations each convert and get detected with
     probability R0*exp(-t/tau0)*eta_D; every other excited (node, mode) slot
-    leaks one background photon with probability crosstalk_eps*eta_D, split
-    uniformly between the two collected fields; dark counts add one click.
+    of the train leaks one background photon with probability
+    crosstalk_eps*eta_D, split uniformly between the two collected fields;
+    dark counts add one click.
     """
-    n_tr = k.shape[0]
-    rows = np.arange(n_tr)
+    n_modes = params.mode_count
     p_ret = params.retrieval_prob(storage_time)
-    k_l = k[rows, 0, window].astype(np.int64)
-    k_r = k[rows, 1, window].astype(np.int64)
+    first_slot = train * (2 * n_modes)
+    k_l = _occupation_at(slot, k, first_slot + mode)
+    k_r = _occupation_at(slot, k, first_slot + n_modes + mode)
     m = rng.binomial(k_r, p_ret)   # node R reads out into aS_R
     n = rng.binomial(k_l, p_ret)   # node L reads out into aS_L
 
-    excited = k >= 1
-    excited[rows, 0, window] = False
-    excited[rows, 1, window] = False
-    other_excited = excited.sum(axis=(1, 2))
+    excited = (np.searchsorted(slot, first_slot + 2 * n_modes)
+               - np.searchsorted(slot, first_slot))
+    other_excited = excited - (k_l > 0) - (k_r > 0)
     leaked = rng.binomial(other_excited, params.crosstalk_eps * params.detection_eff)
     to_r = rng.binomial(leaked, 0.5)
     m = m + to_r
     n = n + (leaked - to_r)
 
     if params.dark_count_prob > 0.0:
-        m = m + (rng.random(n_tr) < params.dark_count_prob)
-        n = n + (rng.random(n_tr) < params.dark_count_prob)
+        m = m + (rng.random(train.size) < params.dark_count_prob)
+        n = n + (rng.random(train.size) < params.dark_count_prob)
     return m, n
 
 
@@ -297,23 +357,23 @@ class LinkTally:
         return PmnTable.from_counts(int(c[0, 0]), int(c[0, 1]), int(c[1, 0]), int(c[1, 1]))
 
 
-# Chunk size bound, in (train, node, mode) slots, to keep transient arrays small.
+# Trains per chunk are this many (train, node, mode) slots over 2 * mode_count,
+# so chunking depends only on the inputs and transient arrays stay small.
 _CHUNK_SLOTS = 6_000_000
 
 
-def run_link_trials(params: LinkParams, storage_time: float, trains: int, seed,
-                    chunk_slots: int = _CHUNK_SLOTS) -> LinkTally:
+def run_link_trials(params: LinkParams, storage_time: float, trains: int, seed) -> LinkTally:
     """Run the full write -> herald -> readout pipeline for many trains.
 
-    Chunking is a pure function of (trains, mode_count, chunk_slots), so the
-    result is deterministic in (params, trains, seed).
+    Chunking is a pure function of (trains, mode_count), so the result is
+    deterministic in (params, trains, seed).
     """
     if trains < 1:
         raise ParameterError(f"trains must be >= 1, got {trains}")
     if storage_time < 0:
         raise ParameterError(f"storage_time must be >= 0, got {storage_time}")
     rng = as_generator(seed)
-    chunk = max(1, chunk_slots // (2 * params.mode_count))
+    chunk = max(1, _CHUNK_SLOTS // (2 * params.mode_count))
     tally = LinkTally(
         trains=0, heralded=0, double_heralds=0, storage_time=storage_time,
         pmn_counts=np.zeros((2, 2), dtype=np.int64),
@@ -329,31 +389,22 @@ def run_link_trials(params: LinkParams, storage_time: float, trains: int, seed,
 
 def _run_chunk(params: LinkParams, storage_time: float, n: int,
                rng: np.random.Generator) -> LinkTally:
-    k = _sample_excitations(params, n, rng)
-    click1, click2, survivors = _stokes_clicks(k, params, rng)
-    heralded, window, detector, double = _first_herald(click1, click2, survivors, rng)
-
-    detector_clicks = int(click1.sum()) + int(click2.sum())
-    coincidences = int((click1 & click2).sum())
-
-    idx = np.nonzero(heralded)[0]
-    window_counts = np.zeros((params.mode_count, 2), dtype=np.int64)
-    pmn_counts = np.zeros((2, 2), dtype=np.int64)
-    if idx.size:
-        np.add.at(window_counts, (window[idx], detector[idx]), 1)
-        m, n_clicks = _readout_counts(k[idx], window[idx], storage_time, params, rng)
-        m = np.minimum(m, 1)
-        n_clicks = np.minimum(n_clicks, 1)
-        np.add.at(pmn_counts, (m, n_clicks), 1)
+    n_modes = params.mode_count
+    slot, k = _sample_excitations(params, n, rng)
+    window, click1, click2, survivors = _stokes_clicks(slot, k, n, params, rng)
+    train, mode, detector, double = _first_herald(window, click1, click2, survivors,
+                                                  n_modes, rng)
+    m, n_clicks = _readout_counts(slot, k, train, mode, storage_time, params, rng)
+    pattern = 2 * np.minimum(m, 1) + np.minimum(n_clicks, 1)
     return LinkTally(
         trains=n,
-        heralded=int(idx.size),
-        double_heralds=int(double[idx].sum()) if idx.size else 0,
+        heralded=int(train.size),
+        double_heralds=int(double.sum()),
         storage_time=storage_time,
-        pmn_counts=pmn_counts,
-        window_counts=window_counts,
-        detector_clicks=detector_clicks,
-        coincidence_windows=coincidences,
+        pmn_counts=np.bincount(pattern, minlength=4).reshape(2, 2),
+        window_counts=np.bincount(2 * mode + detector, minlength=2 * n_modes).reshape(n_modes, 2),
+        detector_clicks=int(click1.sum()) + int(click2.sum()),
+        coincidence_windows=int((click1 & click2).sum()),
     )
 
 

@@ -138,7 +138,9 @@ def swap_chain(params: ChainParams) -> ChainReport:
     rate = P0^(N) * prod(P_i) * P_pr / T_cc.
 
     Raises StalledChainError (with the offending level) if any probability in
-    the cascade is exactly zero.
+    the cascade is exactly zero, and ParameterError if the rate overflows (a
+    subnormal T_cc). A level time that overflows is the limit of a diverging
+    mean time: the probabilities after it vanish and the rate is 0.
     """
     p0 = elementary_p0(params)
     p0_multi = multiplexed_success(p0, params.mode_count)
@@ -163,6 +165,9 @@ def swap_chain(params: ChainParams) -> ChainReport:
 
     p_pr = params.r0 * math.exp(-t / params.tau0)
     rate = p0_multi * product * p_pr / t_cc
+    if not math.isfinite(rate):
+        raise ParameterError(f"rate = {rate!r} Hz is not finite: T_cc = {t_cc!r} s is too "
+                             "short for the recursion to divide by")
     return ChainReport(
         p0=p0,
         p0_multiplexed=p0_multi,

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlczsim import cli
+from dlczsim import cli, experiments
 from dlczsim.fitters import FitResult
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -59,6 +59,22 @@ class TestRate:
     def test_domain_violation_exits_three(self, tmp_path):
         config = write_chain_config(tmp_path, chi=1.5)
         assert run(["rate", "--config", config]) == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("l0_km", "1e-308"),   # T_cc subnormal: rate = .../T_cc overflows
+        ("eta_td", "0.05"),    # P_4 subnormal: t_4 = t_3/P_4 overflows
+    ])
+    def test_overflow_exits_three(self, tmp_path, capsys, key, value):
+        config = tmp_path / "overflow.ini"
+        text = (CONFIGS / "projection.ini").read_text()
+        lines = [f"{key} = {value}" if line.startswith(f"{key} ") else line
+                 for line in text.splitlines()]
+        config.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(["rate", "--config", config, "--out-dir", out]) == 3
+        captured = capsys.readouterr()
+        assert "rate_hz" not in captured.out
+        assert not (out / "rate.json").exists()
 
 
 class TestSimulate:
@@ -131,6 +147,24 @@ class TestLinkExperiment:
         config.write_text("[link]\nchi = 0.01\n[experiment]\nstorage_times_us = 1.0\n"
                           "mode_counts = 1\ntrains = 100\nwindow_budget = 100\n")
         assert run(["link-experiment", "--config", config, "--seed", -3]) == 3
+
+    def test_too_few_fringe_phases_exits_two_before_any_trial(self, tmp_path, monkeypatch):
+        config = tmp_path / "link.ini"
+        config.write_text("[link]\nchi = 0.01\n[experiment]\nstorage_times_us = 1.0\n"
+                          "mode_counts = 1\ntrains = 100\nwindow_budget = 100\n"
+                          "fringe_phases = 3\n")
+        started = []
+        monkeypatch.setattr(experiments, "run_link_trials", lambda *a, **k: started.append(a))
+        assert run(["link-experiment", "--config", config]) == 2
+        assert started == []
+
+    def test_trials_flag_is_rejected(self, tmp_path):
+        # --trials overrides the chain trial count, so only simulate takes it
+        config = tmp_path / "link.ini"
+        config.write_text("[link]\nchi = 0.01\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["link-experiment", "--config", config, "--trials", 5])
+        assert exc.value.code == 2
 
     def test_zero_heralds_exits_four(self, tmp_path):
         config = tmp_path / "link.ini"

@@ -116,6 +116,13 @@ class TestExperimentConfigValidation:
         with pytest.raises(ConfigError, match="fringe_shots"):
             ExperimentConfig(fringe_shots=-1)
 
+    def test_rejects_fewer_than_four_fringe_phases(self):
+        # a sinusoid fit needs at least four phases
+        for bad in (3, 0, -4):
+            with pytest.raises(ConfigError, match="fringe_phases"):
+                ExperimentConfig(fringe_phases=bad)
+        assert ExperimentConfig(fringe_phases=4).fringe_phases == 4
+
     def test_rejects_non_finite_storage_times(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="storage_times_us"):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from dlczsim.errors import ParameterError
 from dlczsim.fitters import Samples, fit_exponential
@@ -9,6 +10,7 @@ from dlczsim.link_physics import (
     LinkParams,
     PmnTable,
     _first_herald,
+    _herald_composition,
     _readout_counts,
     _sample_excitations,
     _stokes_clicks,
@@ -25,6 +27,16 @@ from dlczsim.streams import substream
 
 def binom_sigma(p, n):
     return math.sqrt(p * (1.0 - p) / n)
+
+
+def _chi2(observed, probs, min_expected=5.0):
+    """Chi-squared of counts against cell probabilities and its degrees of
+    freedom, pooling the sparsest cells until each expects ``min_expected``."""
+    cells = sorted(zip(np.sum(observed) * np.asarray(probs) / np.sum(probs), observed))
+    while len(cells) > 1 and cells[0][0] < min_expected:
+        (e0, o0), (e1, o1) = cells[:2]
+        cells = sorted([(e0 + e1, o0 + o1)] + cells[2:])
+    return sum((o - e) ** 2 / e for e, o in cells), len(cells) - 1
 
 
 class TestLinkParams:
@@ -56,45 +68,49 @@ class TestLinkParams:
         assert probs[1] / probs[0] == pytest.approx(0.3, abs=1e-15)
 
 
-L, R = 0, 1   # node axis of the (trains, 2, N) occupation array
+L, R = 0, 1   # node index of a slot
 
 
 def _occupation(params, excited, trains=1):
-    """(trains, 2, N) occupation array with the given {(node, mode): k}, every train alike."""
-    k = np.zeros((trains, 2, params.mode_count), dtype=np.int8)
-    for (node, mode), count in excited.items():
-        k[:, node, mode] = count
-    return k
+    """Sparse (slot, k) with the given {(node, mode): k} in every train alike."""
+    n = params.mode_count
+    cells = sorted((node * n + mode, count) for (node, mode), count in excited.items())
+    offsets = np.array([c[0] for c in cells], dtype=np.int64)
+    slot = (np.arange(trains)[:, None] * 2 * n + offsets[None, :]).ravel()
+    k = np.tile(np.array([c[1] for c in cells], dtype=np.int64), trains)
+    return slot, k
 
 
-def _herald(params, k, seed):
+def _herald(params, occupation, trains, seed):
     """Stokes measurement and herald selection on one stream, as run_link_trials does."""
     rng = substream(seed, 0)
-    click1, click2, survivors = _stokes_clicks(k, params, rng)
-    return _first_herald(click1, click2, survivors, rng)
+    window, click1, click2, survivors = _stokes_clicks(*occupation, trains, params, rng)
+    return _first_herald(window, click1, click2, survivors, params.mode_count, rng)
 
 
 class TestSampleWriteTrain:
     def test_zero_chi_leaves_everything_unexcited(self):
         params = LinkParams(chi=0.0)
-        k = _sample_excitations(params, 1000, substream(1, 0))
-        assert k.shape == (1000, 2, 12)
-        assert not k.any()
+        slot, k = _sample_excitations(params, 1000, substream(1, 0))
+        assert slot.size == 0 and k.size == 0
 
     def test_excitation_fraction_matches_chi_at_one_percent(self):
         # chi = 1%: the per-mode excited fraction equals the truncated-law
-        # value (within 2e-7 of 0.01) over 10^6 trains
+        # value (within 2e-7 of 0.01) over 10^6 trains; excited slots are
+        # distinct, ascending and inside the slot range
         params = LinkParams(chi=0.01)
         rng = substream(42, 0)
-        k = _sample_excitations(params, 1_000_000, rng)
-        frac = (k >= 1).mean()
-        n_slots = k.size
+        slot, _ = _sample_excitations(params, 1_000_000, rng)
+        n_slots = 1_000_000 * 2 * params.mode_count
+        frac = slot.size / n_slots
         assert abs(frac - 0.01) < 3 * binom_sigma(0.01, n_slots) + 2e-7
+        assert (np.diff(slot) > 0).all()
+        assert 0 <= slot[0] and slot[-1] < n_slots
 
     def test_double_to_single_ratio_is_chi(self):
         # oracle: truncated thermal law has P(2)/P(1) = chi exactly
         params = LinkParams(chi=0.5, mode_count=1)
-        k = _sample_excitations(params, 400_000, substream(7, 0))
+        _, k = _sample_excitations(params, 400_000, substream(7, 0))
         ones = (k == 1).sum()
         twos = (k == 2).sum()
         ratio = twos / ones
@@ -104,50 +120,52 @@ class TestSampleWriteTrain:
         params = LinkParams(chi=0.05)
         a = _sample_excitations(params, 100, substream(99, 0))
         b = _sample_excitations(params, 100, substream(99, 0))
-        assert np.array_equal(a, b)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 class TestHeraldBsm:
     def test_no_excitation_no_dark_gives_no_herald(self):
         params = LinkParams(chi=0.01)
-        heralded, _, _, _ = _herald(params, _occupation(params, {}, trains=100), 3)
-        assert not heralded.any()
+        train, _, _, _ = _herald(params, _occupation(params, {}, trains=100), 100, 3)
+        assert train.size == 0
 
     def test_single_photon_heralds_its_window_with_fair_split(self):
         # one photon at a 50/50 splitter: D_S1 and D_S2 at 1/2 each
         params = LinkParams(chi=0.01, eta_td=1.0)
         trials = 4000
-        k = _occupation(params, {(L, 3): 1}, trains=trials)
-        heralded, window, detector, double = _herald(params, k, 0)
-        assert heralded.all()
-        assert (window == 3).all()
+        occupation = _occupation(params, {(L, 3): 1}, trains=trials)
+        train, mode, detector, double = _herald(params, occupation, trials, 0)
+        assert np.array_equal(train, np.arange(trials))
+        assert (mode == 3).all()
         assert not double.any()
         assert abs((detector == 0).mean() - 0.5) < 3 * binom_sigma(0.5, trials)
 
     def test_sign_convention_follows_detector(self):
         # code 0 is D_S1 (heralds +), code 1 is D_S2 (heralds -); a lone click
-        # fixes the code without a coin flip
-        click1 = np.array([[False, True], [False, False]])
-        click2 = np.array([[False, False], [False, True]])
-        survivors = (click1 | click2).astype(np.int64)
-        heralded, window, detector, _ = _first_herald(click1, click2, survivors,
-                                                      substream(12, 0))
-        assert heralded.all()
-        assert window.tolist() == [1, 1]
+        # fixes the code without a coin flip. Two trains of two modes, each
+        # clicking in its mode 1 (windows 1 and 3).
+        window = np.array([1, 3])
+        click1 = np.array([True, False])
+        click2 = np.array([False, True])
+        survivors = np.ones(2, dtype=np.int64)
+        train, mode, detector, _ = _first_herald(window, click1, click2, survivors, 2,
+                                                 substream(12, 0))
+        assert train.tolist() == [0, 1]
+        assert mode.tolist() == [1, 1]
         assert detector.tolist() == [0, 1]
 
     def test_earliest_window_wins(self):
         params = LinkParams(chi=0.01, eta_td=1.0)
-        k = _occupation(params, {(L, 2): 1, (R, 9): 1}, trains=50)
-        heralded, window, _, _ = _herald(params, k, 0)
-        assert heralded.all()
-        assert (window == 2).all()
+        occupation = _occupation(params, {(L, 2): 1, (R, 9): 1}, trains=50)
+        train, mode, _, _ = _herald(params, occupation, 50, 0)
+        assert train.size == 50
+        assert (mode == 2).all()
 
     def test_two_photons_flag_double_excitation(self):
         params = LinkParams(chi=0.01, eta_td=1.0)
-        k = _occupation(params, {(L, 5): 1, (R, 5): 1})
-        heralded, window, _, double = _herald(params, k, 4)
-        assert heralded[0] and window[0] == 5
+        occupation = _occupation(params, {(L, 5): 1, (R, 5): 1})
+        train, mode, _, double = _herald(params, occupation, 1, 4)
+        assert train.tolist() == [0] and mode[0] == 5
         assert double[0]
 
     def test_herald_probability_matches_closed_form(self, calibrated):
@@ -174,13 +192,23 @@ class TestReadout:
     def test_lossless_single_excitation_reads_out_exactly_once(self):
         params = LinkParams(chi=0.01, eta_td=1.0, detection_eff=1.0,
                             retrieval_eff_zero=1.0, crosstalk_eps=0.0)
-        window = np.array([1])
-        m, n = _readout_counts(_occupation(params, {(L, 1): 1}), window, 0.0, params,
+        train, mode = np.array([0]), np.array([1])
+        m, n = _readout_counts(*_occupation(params, {(L, 1): 1}), train, mode, 0.0, params,
                                substream(8, 0))
         assert (m[0], n[0]) == (0, 1)  # the L spin wave reads out into aS_L
-        m, n = _readout_counts(_occupation(params, {(R, 1): 1}), window, 0.0, params,
+        m, n = _readout_counts(*_occupation(params, {(R, 1): 1}), train, mode, 0.0, params,
                                substream(8, 0))
         assert (m[0], n[0]) == (1, 0)
+
+    def test_crosstalk_leaks_from_every_other_excited_slot_of_the_train(self):
+        # lossless with crosstalk_eps = 1: every excited slot of a heralded
+        # train other than the addressed pair adds exactly one click
+        params = LinkParams(chi=0.01, detection_eff=1.0, retrieval_eff_zero=1.0,
+                            crosstalk_eps=1.0)
+        occupation = _occupation(params, {(L, 1): 1, (R, 4): 2, (L, 7): 1}, trains=3)
+        m, n = _readout_counts(*occupation, np.array([1, 2]), np.array([1, 4]), 0.0, params,
+                               substream(9, 0))
+        assert (m + n).tolist() == [1 + 2, 2 + 2]
 
     def test_requires_a_herald(self):
         # only heralded trains are read out: with nothing to herald, no
@@ -197,9 +225,9 @@ class TestReadout:
         params = LinkParams(chi=0.01, eta_td=1.0, detection_eff=1.0,
                             retrieval_eff_zero=0.707, memory_lifetime=0.3e-3)
         trains = 20_000
-        k = _occupation(params, {(L, 0): 1}, trains=trains)
-        _, n = _readout_counts(k, np.zeros(trains, dtype=np.int64), 0.3e-3, params,
-                               substream(21, 0))
+        occupation = _occupation(params, {(L, 0): 1}, trains=trains)
+        _, n = _readout_counts(*occupation, np.arange(trains), np.zeros(trains, dtype=np.int64),
+                               0.3e-3, params, substream(21, 0))
         expected = 0.707 * math.exp(-1.0)
         assert expected == pytest.approx(0.260091, abs=5e-6)
         assert abs(n.mean() - expected) < 3 * binom_sigma(expected, trains)
@@ -248,6 +276,41 @@ class TestClosedFormAgainstSampling:
         want = calibrated.mode_count * per_window
         sigma = math.sqrt(want / tally.trains)
         assert abs(tally.detection_probability - want) < 3 * sigma
+
+    @pytest.mark.parametrize("mode_count", [1, 12])
+    @pytest.mark.parametrize("dark_count_prob", [1e-3, 0.3])
+    def test_dark_count_paths_match_closed_forms(self, calibrated, dark_count_prob, mode_count):
+        # five seeds at a 2.4M-window budget, crosstalk on; each statistic is
+        # pooled over the seeds into one chi-squared and must not be rejected
+        # at p = 1e-4
+        import dataclasses
+        params = dataclasses.replace(calibrated, dark_count_prob=dark_count_prob,
+                                     mode_count=mode_count)
+        trains = 2_400_000 // mode_count
+        p_herald = expected_herald_probability(params)
+        p_window = expected_window_detection(params) / 2.0   # per detector and window
+        window_probs = _herald_composition(params).window_probs
+        pmn_probs = expected_pmn(params, 1e-6).as_tuple()
+        pooled = {"herald": [0.0, 0], "clicks": [0.0, 0], "window": [0.0, 0], "pmn": [0.0, 0]}
+
+        def add(name, chi2, dof):
+            pooled[name][0] += chi2
+            pooled[name][1] += dof
+
+        for seed in range(5):
+            tally = run_link_trials(params, 1e-6, trains, substream(61, seed))
+            var = trains * p_herald * (1.0 - p_herald)
+            add("herald", (tally.heralded - trains * p_herald) ** 2 / var, 1)
+            slots = 2 * trains * mode_count
+            var = slots * p_window * (1.0 - p_window)
+            add("clicks", (tally.detector_clicks - slots * p_window) ** 2 / var, 1)
+            assert tally.window_counts.sum() == tally.heralded
+            if mode_count > 1:
+                add("window", *_chi2(tally.window_counts.sum(axis=1), window_probs))
+            add("pmn", *_chi2(tally.pmn_counts.reshape(4), pmn_probs))
+        for name, (chi2, dof) in pooled.items():
+            if dof:
+                assert scipy.stats.chi2.sf(chi2, dof) > 1e-4, (name, chi2, dof)
 
     def test_crosstalk_makes_concurrence_decrease_with_modes(self, calibrated):
         import dataclasses
