@@ -1,11 +1,15 @@
-"""Discrete-event Monte Carlo of the multiplexed repeater chain.
+"""Event-driven Monte Carlo of the multiplexed repeater chain.
 
-Time advances in communication intervals T_cc. Every elementary link whose
-segment is unconsumed attempts generation once per interval; a swap fires in
-the interval in which both of its child segments exist, succeeds with the
-retrieval probability evaluated at the *actual* age of the older child, and on
-failure discards both children so their subtrees rebuild from scratch. A trial
-ends when the end-to-end pair survives the final readout, or at max_sim_time.
+Time is counted in communication intervals T_cc ("ticks"), but a trial jumps
+from event to event. An elementary link that is free from tick s exists at
+s + G, with G geometric in the multiplexed success probability. A segment one
+level up builds both of its children from the same start and swaps at the
+later child's tick; the swap succeeds with the retrieval probability evaluated
+at the *actual* age of the older child, and a failure consumes both children,
+so the whole subtree rebuilds from that tick. The end-to-end pair is read out
+with a probability that decays with the elapsed trial time, and a failed
+readout restarts the trial. A trial ends when the readout succeeds, or times
+out at max_sim_time.
 
 This is deliberately more pessimistic than the mean-time recursion in `rate`:
 waiting for the slower of two child segments and rebuilding after failed swaps
@@ -21,8 +25,10 @@ identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,6 +45,11 @@ __all__ = [
 ]
 
 LATENCY_HISTOGRAM_BINS = 32
+
+# One trial draws at least 2**n_levels elementary links, so a deeper chain
+# would run for hours or exhaust memory instead of failing; `rate` and `sweep`
+# take any depth.
+MAX_SIM_LEVELS = 20
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,10 @@ class SimConfig:
         if not 1.0 < self.max_sim_time / self.chain.t_cc < math.inf:
             raise ParameterError(f"max_sim_time ({self.max_sim_time}) must exceed T_cc "
                                  f"({self.chain.t_cc}) by a finite factor")
+        if self.chain.n_levels > MAX_SIM_LEVELS:
+            raise ParameterError(f"n_levels ({self.chain.n_levels}) must be <= "
+                                 f"{MAX_SIM_LEVELS} to simulate: one trial draws "
+                                 f"2**n_levels elementary links")
 
 
 @dataclass(frozen=True)
@@ -140,84 +155,55 @@ class ChainTrace:
         }
 
 
-def _simulate_one_trial(chain: ChainParams, max_ticks: int, rng: np.random.Generator):
-    """Run one end-to-end delivery. Returns (ticks or None, per-level counters).
+def _trial(chain: ChainParams, p_gen: float, max_ticks: int, seed: int, index: int):
+    """Run trial ``index`` on substream(seed, index).
 
-    Segment state is the tick at which it became entangled, -1 if absent.
-    Level-0 segments are the elementary links; a link only attempts generation
-    while no ancestor segment holds it.
+    Returns (delivery tick, or None on timeout; swap attempts and successes
+    per level; readout attempts). Only swaps and readouts at ticks <= max_ticks
+    are counted.
     """
-    n = chain.n_levels
-    p_gen = multiplexed_success(elementary_p0(chain), chain.mode_count)
-    t_cc = chain.t_cc
+    rng = substream(seed, index)
+    geometric, uniform = rng.geometric, rng.random
     swap_scale = chain.swap_intrinsic_factor * chain.r0 * chain.eta_td
-    established = [np.full(2 ** (n - lev), -1, dtype=np.int64) for lev in range(n + 1)]
-    attempts = np.zeros(n, dtype=np.int64)
-    successes = np.zeros(n, dtype=np.int64)
-    readout_attempts = 0
-    readout_successes = 0
+    t_cc, tau0 = chain.t_cc, chain.tau0
+    attempts = [0] * chain.n_levels
+    successes = [0] * chain.n_levels
 
-    tick = 0
-    while tick < max_ticks:
-        tick += 1
-        # generation on free links
-        for j in range(2 ** n):
-            if established[0][j] >= 0:
-                continue
-            idx, held = j, False
-            for lev in range(1, n + 1):
-                idx //= 2
-                if established[lev][idx] >= 0:
-                    held = True
-                    break
-            if not held and rng.random() < p_gen:
-                established[0][j] = tick
-        # swaps, bottom-up so a success can cascade within the tick
-        for lev in range(1, n + 1):
-            row = established[lev]
-            below = established[lev - 1]
-            for s in range(row.size):
-                if row[s] >= 0:
-                    continue
-                a, b = below[2 * s], below[2 * s + 1]
-                if a < 0 or b < 0:
-                    continue
-                attempts[lev - 1] += 1
-                age = (tick - min(a, b)) * t_cc
-                below[2 * s] = below[2 * s + 1] = -1   # consumed either way
-                if rng.random() < swap_scale * math.exp(-age / chain.tau0):
-                    successes[lev - 1] += 1
-                    row[s] = tick
-                else:
-                    for lower in range(lev - 1):
-                        span = 2 ** (lev - lower)
-                        established[lower][s * span:(s + 1) * span] = -1
-        if established[n][0] >= 0:
-            readout_attempts += 1
-            # final readout decays with the elapsed trial time, the Monte Carlo
-            # analogue of evaluating P_pr at t_n
-            if rng.random() < chain.r0 * math.exp(-tick * t_cc / chain.tau0):
-                readout_successes += 1
-                return tick, attempts, successes, readout_attempts, readout_successes
-            for lev in range(n + 1):
-                established[lev][:] = -1
-    return None, attempts, successes, readout_attempts, readout_successes
+    def built(level: int, start: int) -> int:
+        # tick at which a level-`level` segment whose links are free from
+        # `start` exists; past max_ticks it does not exist within the trial
+        if level == 0:
+            return start + int(geometric(p_gen))
+        while True:
+            a, b = built(level - 1, start), built(level - 1, start)
+            t = max(a, b)
+            if t > max_ticks:
+                return t
+            attempts[level - 1] += 1
+            if uniform() < swap_scale * math.exp(-(t - min(a, b)) * t_cc / tau0):
+                successes[level - 1] += 1
+                return t
+            start = t       # both children are consumed either way
 
-
-def _trial_batch(args):
-    chain, max_ticks, seed, trial_indices = args
-    out = []
-    for i in trial_indices:
-        out.append(_simulate_one_trial(chain, max_ticks, substream(seed, i)))
-    return out
+    t = readouts = 0
+    while True:
+        t = built(chain.n_levels, t)
+        if t > max_ticks:
+            return None, attempts, successes, readouts
+        readouts += 1
+        # final readout decays with the elapsed trial time, the Monte Carlo
+        # analogue of evaluating P_pr at t_n; a failure restarts the trial
+        if uniform() < chain.r0 * math.exp(-t * t_cc / tau0):
+            return t, attempts, successes, readouts
 
 
 def simulate_chain(config: SimConfig, workers: int = 1) -> ChainTrace:
     """Monte Carlo the full chain for config.trials deliveries.
 
-    ``workers`` > 1 distributes whole trials over processes; because each
-    trial owns substream(seed, trial_index), the trace is bitwise identical
-    for any worker count.
+    ``workers`` > 1 runs contiguous blocks of trials in at most
+    min(workers, trials, cpu_count) processes; because each trial owns
+    substream(seed, trial_index), the trace is bitwise identical for any
+    worker count.
     """
     chain = config.chain
     p_gen = multiplexed_success(elementary_p0(chain), chain.mode_count)
@@ -225,34 +211,18 @@ def simulate_chain(config: SimConfig, workers: int = 1) -> ChainTrace:
         raise StalledChainError(0, "chain can never start: P0 = 0")
     max_ticks = int(config.max_sim_time / chain.t_cc)
 
-    indices = list(range(config.trials))
-    if workers <= 1:
-        results = _trial_batch((chain, max_ticks, config.seed, indices))
+    trial = partial(_trial, chain, p_gen, max_ticks, config.seed)
+    procs = min(workers, config.trials, os.cpu_count() or 1)
+    if procs <= 1:
+        results = list(map(trial, range(config.trials)))
     else:
-        batches = [(chain, max_ticks, config.seed, indices[b::workers]) for b in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_worker = list(pool.map(_trial_batch, batches))
-        # round-robin partition above; stitch back into trial order
-        results = [None] * config.trials
-        for b, chunk in enumerate(per_worker):
-            for offset, res in enumerate(chunk):
-                results[b + offset * workers] = res
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            # ordered map; a few blocks per process evens out long trials
+            results = list(pool.map(trial, range(config.trials),
+                                    chunksize=max(1, config.trials // (4 * procs))))
 
-    delivery_ticks = []
-    timeouts = 0
-    attempts = np.zeros(chain.n_levels, dtype=np.int64)
-    successes = attempts.copy()
-    readout_attempts = 0
-    readout_successes = 0
-    for ticks, att, suc, ra, rs in results:
-        attempts = attempts + att
-        successes = successes + suc
-        readout_attempts += ra
-        readout_successes += rs
-        if ticks is None:
-            timeouts += 1
-        else:
-            delivery_ticks.append(ticks)
+    ticks, attempts, successes, readouts = zip(*results)
+    delivery_ticks = [t for t in ticks if t is not None]
 
     times = np.asarray(delivery_ticks, dtype=np.int64) * chain.t_cc
     if times.size:
@@ -268,11 +238,11 @@ def simulate_chain(config: SimConfig, workers: int = 1) -> ChainTrace:
     return ChainTrace(
         config=config,
         delivery_times=times,
-        timeouts=timeouts,
-        swap_attempts=attempts,
-        swap_successes=successes,
-        readout_attempts=readout_attempts,
-        readout_successes=readout_successes,
+        timeouts=config.trials - len(delivery_ticks),
+        swap_attempts=np.sum(attempts, axis=0, dtype=np.int64),
+        swap_successes=np.sum(successes, axis=0, dtype=np.int64),
+        readout_attempts=sum(readouts),
+        readout_successes=len(delivery_ticks),
         empirical_rate=rate,
         rate_stderr=stderr,
         analytic_rate=swap_chain(chain).rate_hz,

@@ -53,6 +53,13 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="result file format where both apply")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dlczsim",
@@ -67,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo chain simulation")
     _common_flags(p_sim)
     p_sim.add_argument("--trials", type=int, help="override the config trial count")
-    p_sim.add_argument("--workers", type=int, default=1,
+    p_sim.add_argument("--workers", type=_positive_int, default=1,
                        help="parallel worker processes (results identical for any count)")
     p_sim.add_argument("--elementary", action="store_true",
                        help="simulate only elementary-link generation")
@@ -193,7 +200,7 @@ def cmd_simulate(args) -> int:
         }))
         return run.finish(config_as_dict(config), sim.seed)
 
-    trace = simulate_chain(sim, workers=max(1, args.workers))
+    trace = simulate_chain(sim, workers=args.workers)
     print(f"delivered {trace.delivered}/{sim.trials}  timeouts {trace.timeouts}")
     print(f"empirical_rate_hz {format_float(trace.empirical_rate)} "
           f"+/- {format_float(trace.rate_stderr)}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from dlczsim.chain_sim import SimConfig, simulate_chain, simulate_elementary_link
+from dlczsim.chain_sim import SimConfig, _trial, simulate_chain, simulate_elementary_link
 from dlczsim.errors import ParameterError, StalledChainError
 from dlczsim.rate import ChainParams, elementary_p0, multiplexed_success, swap_chain
 
@@ -161,3 +161,93 @@ class TestChain:
         for guard in (math.inf, math.nan, 1e308):
             with pytest.raises(ParameterError, match="max_sim_time"):
                 SimConfig(chain=PROJECTION, trials=10, seed=0, max_sim_time=guard)
+
+    def test_simulated_depth_is_bounded(self):
+        SimConfig(chain=lossless_chain(n_levels=20), trials=1)
+        with pytest.raises(ParameterError, match="n_levels"):
+            SimConfig(chain=lossless_chain(n_levels=21), trials=1)
+
+
+def mean_max_of_two_geometric(p: float) -> float:
+    """E[max(G1, G2)] for independent G1, G2 ~ Geometric(p) on {1, 2, ...}."""
+    return 2 / p - 1 / (1 - (1 - p) ** 2)
+
+
+class TestExactChainCorners:
+    """Closed forms of the simulated protocol at corners where its renewals
+    are tractable, each checked within 4 standard errors."""
+
+    @staticmethod
+    def assert_mean_ticks(trace, expected):
+        ticks = trace.delivery_times / trace.config.chain.t_cc
+        stderr = ticks.std(ddof=1) / math.sqrt(ticks.size)
+        assert abs(ticks.mean() - expected) < 4 * stderr
+
+    def test_one_level_waits_for_the_slower_link(self):
+        # both links draw Geometric(p); the swap at their max succeeds w.p. q
+        # and a failure restarts both, so the mean is E[max] / q = 7.843
+        chain = lossless_chain(n_levels=1, chi=0.3, swap_intrinsic_factor=0.6)
+        p = multiplexed_success(elementary_p0(chain), chain.mode_count)
+        assert p == pytest.approx(0.3)
+        trace = simulate_chain(SimConfig(chain=chain, trials=10_000, seed=21))
+        assert trace.delivered == 10_000
+        expected = mean_max_of_two_geometric(p) / 0.6
+        assert expected == pytest.approx(7.843, abs=1e-3)
+        self.assert_mean_ticks(trace, expected)
+
+    def test_two_levels_of_certain_links(self):
+        # links exist after one tick, so a level-1 segment is Geometric(q) in
+        # ticks; level 2 waits for the slower one: mean E[max] / q = 3.571
+        chain = lossless_chain(n_levels=2, chi=1.0, swap_intrinsic_factor=0.6)
+        trace = simulate_chain(SimConfig(chain=chain, trials=10_000, seed=22))
+        assert trace.delivered == 10_000
+        expected = mean_max_of_two_geometric(0.6) / 0.6
+        assert expected == pytest.approx(3.571, abs=1e-3)
+        self.assert_mean_ticks(trace, expected)
+
+    def test_swap_age_is_measured_from_the_older_child(self):
+        # every level-1 round is a fresh pair (G1, G2) and its swap succeeds
+        # w.p. exp(-|G1 - G2| d), d = T_cc/tau0; over the pair that averages
+        # p/(2 - p) * (1 + q e^-d)/(1 - q e^-d), q = 1 - p: 0.880 at p = 0.3,
+        # d = 0.05. Failed readouts start fresh rounds, so every round counts.
+        # The readout decays too, so ~2% of trials never deliver; the horizon
+        # ends them, and only the one round each that crosses it goes uncounted.
+        chain = lossless_chain(n_levels=1, chi=0.3)
+        chain = dataclasses.replace(chain, tau0=chain.t_cc / 0.05)
+        trace = simulate_chain(SimConfig(chain=chain, trials=4000, seed=24,
+                                         max_sim_time=500.5 * chain.t_cc))
+        p, q, decay = 0.3, 0.7, math.exp(-0.05)
+        expected = p / (2 - p) * (1 + q * decay) / (1 - q * decay)
+        attempts = trace.swap_attempts[0]
+        frac = trace.swap_successes[0] / attempts
+        assert abs(frac - expected) < 4 * math.sqrt(expected * (1 - expected) / attempts)
+
+    def test_readout_decays_with_elapsed_trial_time(self):
+        # certain links, no levels: the k-th readout happens at tick k and
+        # succeeds w.p. e^(-d k), d = T_cc/tau0 = 0.3, so
+        # P(T = k) = e^(-d k) prod_{j<k} (1 - e^(-d j)), and the trial times
+        # out after tick 50 w.p. prod_{j<=50} (1 - e^(-d j))
+        chain = lossless_chain(n_levels=0, chi=1.0)
+        chain = dataclasses.replace(chain, tau0=chain.t_cc / 0.3)
+        config = SimConfig(chain=chain, trials=10_000, seed=25,
+                           max_sim_time=50.5 * chain.t_cc)
+        trace = simulate_chain(config)
+        ks = np.arange(1, 51)
+        succeed = np.exp(-0.3 * ks)
+        pmf = succeed * np.concatenate(([1.0], np.cumprod(1 - succeed)[:-1]))
+        p_timeout = 1 - pmf.sum()
+        assert abs(trace.timeouts - 10_000 * p_timeout) < 4 * math.sqrt(
+            10_000 * p_timeout * (1 - p_timeout))
+        self.assert_mean_ticks(trace, (ks * pmf).sum() / pmf.sum())
+
+    def test_counters_stop_at_the_horizon(self):
+        # every level-1 swap fails: both level-1 slots swap once per tick for
+        # ticks 1..10, nothing reaches level 2 or the readout. The trials run
+        # directly, since simulate_chain also evaluates the recursion, which
+        # stalls at a zero swap factor.
+        chain = lossless_chain(n_levels=2, chi=1.0, swap_intrinsic_factor=0.0)
+        results = [_trial(chain, 1.0, 10, 23, i) for i in range(3)]
+        assert [ticks for ticks, *_ in results] == [None] * 3
+        assert np.sum([r[1] for r in results], axis=0).tolist() == [60, 0]
+        assert np.sum([r[2] for r in results], axis=0).tolist() == [0, 0]
+        assert sum(r[3] for r in results) == 0

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlczsim import cli, experiments
+from dlczsim import chain_sim, cli, experiments
 from dlczsim.fitters import FitResult
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -114,6 +114,52 @@ class TestSimulate:
         assert run(["simulate", "--config", config, "--out-dir", out]) == 3
         assert started == []
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_non_positive_workers_exits_two(self, tmp_path, workers):
+        config = write_chain_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--config", config, "--workers", workers])
+        assert exc.value.code == 2
+
+    def test_workers_are_capped_by_trials(self, tmp_path, monkeypatch):
+        # an in-process stand-in: a real pool of this size would fork per worker
+        recorded = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(chain_sim, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(chain_sim.os, "cpu_count", lambda: 64)
+        config = write_chain_config(tmp_path)
+        outs = [tmp_path / "one", tmp_path / "many"]
+        assert run(["simulate", "--config", config, "--trials", 3, "--out-dir", outs[0],
+                    "--workers", 1]) == 0
+        assert recorded == []
+        assert run(["simulate", "--config", config, "--trials", 3, "--out-dir", outs[1],
+                    "--workers", 100_000]) == 0
+        assert recorded == [3]
+        assert (outs[0] / "trace.json").read_bytes() == (outs[1] / "trace.json").read_bytes()
+
+    @pytest.mark.parametrize("n_levels", [21, 64])
+    def test_too_deep_chain_exits_three_before_any_trial(
+            self, tmp_path, monkeypatch, capsys, n_levels):
+        config = write_chain_config(tmp_path, n_levels=n_levels)
+        started = []
+        monkeypatch.setattr(cli, "simulate_chain", lambda *a, **k: started.append(a))
+        assert run(["simulate", "--config", config]) == 3
+        assert started == []
+        assert "n_levels" in capsys.readouterr().err
 
     def test_timeout_dominated_run_exits_four(self, tmp_path):
         config = write_chain_config(tmp_path, chi=1e-5)

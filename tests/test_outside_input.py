@@ -7,8 +7,8 @@ on exit 0, print a finite rate.
 `[link]`, `[sim]` and `[experiment]` keys are parsed and fed to the closed
 forms or to `sim_config()`, which must raise ConfigError/ParameterError or
 return finite values. `simulate` and `link-experiment` are not run on drawn
-values: a tiny finite generation probability under a huge finite time guard
-makes a per-tick run that never ends.
+values: a swap that almost never succeeds under a huge finite time guard
+keeps a trial rebuilding its segments for as many ticks as the guard allows.
 """
 
 import contextlib
