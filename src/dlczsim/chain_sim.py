@@ -17,18 +17,16 @@ compound across levels, so the empirical rate sits well below the analytic one
 except near deterministic parameters. ChainTrace carries both rates so the gap
 is visible.
 
-Trials are embarrassingly parallel: trial i draws its randomness from
-substream(seed, i) regardless of which worker runs it, so results are
-identical for any worker count.
+Trial i draws its randomness from substream(seed, i) alone, in fixed blocks
+of BLOCK variates, so its result does not depend on how many trials run or in
+what order: a run of k trials reproduces the first k trials of a longer run.
+Every trial runs in the calling process.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -45,6 +43,10 @@ __all__ = [
 ]
 
 LATENCY_HISTOGRAM_BINS = 32
+
+# Variates per refill of a trial's link-time and uniform streams: one numpy
+# call per block instead of one per variate.
+BLOCK = 64
 
 # One trial draws at least 2**n_levels elementary links, so a deeper chain
 # would run for hours or exhaust memory instead of failing; `rate` and `sweep`
@@ -155,6 +157,12 @@ class ChainTrace:
         }
 
 
+def _blocks(draw, *args):
+    """Endless stream of ``draw(*args, BLOCK)`` variates as Python scalars."""
+    while True:
+        yield from draw(*args, BLOCK).tolist()
+
+
 def _trial(chain: ChainParams, p_gen: float, max_ticks: int, seed: int, index: int):
     """Run trial ``index`` on substream(seed, index).
 
@@ -163,7 +171,7 @@ def _trial(chain: ChainParams, p_gen: float, max_ticks: int, seed: int, index: i
     are counted.
     """
     rng = substream(seed, index)
-    geometric, uniform = rng.geometric, rng.random
+    links, uniforms = _blocks(rng.geometric, p_gen), _blocks(rng.random)
     swap_scale = chain.swap_intrinsic_factor * chain.r0 * chain.eta_td
     t_cc, tau0 = chain.t_cc, chain.tau0
     attempts = [0] * chain.n_levels
@@ -173,14 +181,14 @@ def _trial(chain: ChainParams, p_gen: float, max_ticks: int, seed: int, index: i
         # tick at which a level-`level` segment whose links are free from
         # `start` exists; past max_ticks it does not exist within the trial
         if level == 0:
-            return start + int(geometric(p_gen))
+            return start + next(links)
         while True:
             a, b = built(level - 1, start), built(level - 1, start)
             t = max(a, b)
             if t > max_ticks:
                 return t
             attempts[level - 1] += 1
-            if uniform() < swap_scale * math.exp(-(t - min(a, b)) * t_cc / tau0):
+            if next(uniforms) < swap_scale * math.exp(-(t - min(a, b)) * t_cc / tau0):
                 successes[level - 1] += 1
                 return t
             start = t       # both children are consumed either way
@@ -193,17 +201,16 @@ def _trial(chain: ChainParams, p_gen: float, max_ticks: int, seed: int, index: i
         readouts += 1
         # final readout decays with the elapsed trial time, the Monte Carlo
         # analogue of evaluating P_pr at t_n; a failure restarts the trial
-        if uniform() < chain.r0 * math.exp(-t * t_cc / tau0):
+        if next(uniforms) < chain.r0 * math.exp(-t * t_cc / tau0):
             return t, attempts, successes, readouts
 
 
-def simulate_chain(config: SimConfig, workers: int = 1) -> ChainTrace:
+def simulate_chain(config: SimConfig) -> ChainTrace:
     """Monte Carlo the full chain for config.trials deliveries.
 
-    ``workers`` > 1 runs contiguous blocks of trials in at most
-    min(workers, trials, cpu_count) processes; because each trial owns
-    substream(seed, trial_index), the trace is bitwise identical for any
-    worker count.
+    The trials run one after another in this process. Trial i owns
+    substream(seed, i), so the trace is bitwise identical across reruns, and a
+    run of k trials delivers the first k delivery times of any longer run.
     """
     chain = config.chain
     p_gen = multiplexed_success(elementary_p0(chain), chain.mode_count)
@@ -211,16 +218,7 @@ def simulate_chain(config: SimConfig, workers: int = 1) -> ChainTrace:
         raise StalledChainError(0, "chain can never start: P0 = 0")
     max_ticks = int(config.max_sim_time / chain.t_cc)
 
-    trial = partial(_trial, chain, p_gen, max_ticks, config.seed)
-    procs = min(workers, config.trials, os.cpu_count() or 1)
-    if procs <= 1:
-        results = list(map(trial, range(config.trials)))
-    else:
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            # ordered map; a few blocks per process evens out long trials
-            results = list(pool.map(trial, range(config.trials),
-                                    chunksize=max(1, config.trials // (4 * procs))))
-
+    results = [_trial(chain, p_gen, max_ticks, config.seed, i) for i in range(config.trials)]
     ticks, attempts, successes, readouts = zip(*results)
     delivery_ticks = [t for t in ticks if t is not None]
 

@@ -49,14 +49,26 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="INI configuration file")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out-dir", type=Path, help="directory for result files")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="result file format where both apply")
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
 
 
@@ -69,13 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rate = sub.add_parser("rate", help="closed-form repeater-chain rate")
     _common_flags(p_rate)
+    p_rate.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="write rate.json or rate.csv")
     p_rate.set_defaults(func=cmd_rate)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo chain simulation")
     _common_flags(p_sim)
     p_sim.add_argument("--trials", type=int, help="override the config trial count")
     p_sim.add_argument("--workers", type=_positive_int, default=1,
-                       help="parallel worker processes (results identical for any count)")
+                       help="accepted for compatibility (>= 1); every trial runs in "
+                            "this process, so results are identical for any value")
     p_sim.add_argument("--elementary", action="store_true",
                        help="simulate only elementary-link generation")
     p_sim.set_defaults(func=cmd_simulate)
@@ -88,16 +103,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="least-squares fit of a CSV file")
     p_fit.add_argument("csv", type=Path, help="input CSV with header x,y[,weight]")
     p_fit.add_argument("--model", choices=("exp", "linear", "sinusoid"), required=True)
-    _common_flags(p_fit)
+    p_fit.add_argument("--seed", type=int, help="seed recorded in the manifest")
+    p_fit.add_argument("--out-dir", type=Path, help="directory for result files")
     p_fit.set_defaults(func=cmd_fit)
 
     p_sweep = sub.add_parser("sweep", help="rate versus one chain parameter")
     _common_flags(p_sweep)
     p_sweep.add_argument("--param", required=True, help="ChainParams field to sweep")
-    p_sweep.add_argument("--min", type=float, required=True)
-    p_sweep.add_argument("--max", type=float, required=True)
+    p_sweep.add_argument("--min", type=_finite_float, required=True)
+    p_sweep.add_argument("--max", type=_finite_float, required=True)
     p_sweep.add_argument("--steps", type=int, default=20)
-    p_sweep.add_argument("--fixed-total-km", type=float, default=None,
+    p_sweep.add_argument("--fixed-total-km", type=_positive_float, default=None,
                          help="when sweeping l0, keep the end-to-end distance at this "
                               "value by re-deriving n_levels per grid point")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -200,7 +216,7 @@ def cmd_simulate(args) -> int:
         }))
         return run.finish(config_as_dict(config), sim.seed)
 
-    trace = simulate_chain(sim, workers=args.workers)
+    trace = simulate_chain(sim)
     print(f"delivered {trace.delivered}/{sim.trials}  timeouts {trace.timeouts}")
     print(f"empirical_rate_hz {format_float(trace.empirical_rate)} "
           f"+/- {format_float(trace.rate_stderr)}")
@@ -308,11 +324,13 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for value in grid:
-        overrides = {args.param: value}
+        chain = dataclasses.replace(config.chain, **{args.param: value})
         if fixed_total is not None:
-            # keep 2^n * l0 as close to the requested span as integer n allows
-            overrides["n_levels"] = max(0, round(math.log2(fixed_total / value)))
-        chain = dataclasses.replace(config.chain, **overrides)
+            # keep 2^n * l0 as close to the requested span as integer n allows;
+            # the replace above has checked l0 > 0, and a difference of logs
+            # stays finite where the ratio would overflow
+            n_levels = max(0, round(math.log2(fixed_total) - math.log2(value)))
+            chain = dataclasses.replace(chain, n_levels=n_levels)
         try:
             rate = swap_chain(chain).rate_hz
         except StalledChainError:

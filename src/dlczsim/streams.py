@@ -5,8 +5,8 @@ are derived with ``numpy.random.SeedSequence(root, spawn_key=path)``: the path
 is a tuple of non-negative integers naming the consumer (e.g. ``(trial_index,)``
 for one Monte Carlo trial, ``(phase_index, 1)`` for a fringe scan). SeedSequence
 hashes (root, path) into generator state, so streams are independent of each
-other and of how work is partitioned across processes: trial *i* sees the same
-stream whether it runs on 1 worker or 16.
+other and of which other consumers run: trial *i* sees the same stream however
+many trials the run holds.
 """
 
 from __future__ import annotations

@@ -139,12 +139,14 @@ class TestChain:
         config = SimConfig(chain=PROJECTION, trials=40, seed=8)
         a = simulate_chain(config)
         b = simulate_chain(config)
-        c = simulate_chain(config, workers=3)
-        for other in (b, c):
-            assert np.array_equal(a.delivery_times, other.delivery_times)
-            assert np.array_equal(a.swap_attempts, other.swap_attempts)
-            assert np.array_equal(a.swap_successes, other.swap_successes)
-            assert a.timeouts == other.timeouts
+        assert np.array_equal(a.delivery_times, b.delivery_times)
+        assert np.array_equal(a.swap_attempts, b.swap_attempts)
+        assert np.array_equal(a.swap_successes, b.swap_successes)
+        assert a.timeouts == b.timeouts
+        # trial i owns substream(seed, i), so no split of the trials into
+        # runs changes them: a shorter run is a prefix of a longer one
+        prefix = simulate_chain(dataclasses.replace(config, trials=13))
+        assert np.array_equal(prefix.delivery_times, a.delivery_times[:13])
 
     def test_stalled_chain_raises(self):
         with pytest.raises(StalledChainError):
@@ -185,15 +187,18 @@ class TestExactChainCorners:
 
     def test_one_level_waits_for_the_slower_link(self):
         # both links draw Geometric(p); the swap at their max succeeds w.p. q
-        # and a failure restarts both, so the mean is E[max] / q = 7.843
-        chain = lossless_chain(n_levels=1, chi=0.3, swap_intrinsic_factor=0.6)
-        p = multiplexed_success(elementary_p0(chain), chain.mode_count)
-        assert p == pytest.approx(0.3)
-        trace = simulate_chain(SimConfig(chain=chain, trials=10_000, seed=21))
-        assert trace.delivered == 10_000
-        expected = mean_max_of_two_geometric(p) / 0.6
-        assert expected == pytest.approx(7.843, abs=1e-3)
-        self.assert_mean_ticks(trace, expected)
+        # and a failure restarts both, so the mean is E[max] / q = 7.843. At
+        # q = 0.02 a trial takes ~50 rounds, ~100 link times and ~50 uniforms,
+        # so most trials refill their streams past the first BLOCK variates.
+        for q, mean in ((0.6, 7.843), (0.02, 235.294)):
+            chain = lossless_chain(n_levels=1, chi=0.3, swap_intrinsic_factor=q)
+            p = multiplexed_success(elementary_p0(chain), chain.mode_count)
+            assert p == pytest.approx(0.3)
+            trace = simulate_chain(SimConfig(chain=chain, trials=10_000, seed=21))
+            assert trace.delivered == 10_000
+            expected = mean_max_of_two_geometric(p) / q
+            assert expected == pytest.approx(mean, abs=1e-3)
+            self.assert_mean_ticks(trace, expected)
 
     def test_two_levels_of_certain_links(self):
         # links exist after one tick, so a level-1 segment is Geometric(q) in

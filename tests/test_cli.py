@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlczsim import chain_sim, cli, experiments
+from dlczsim import cli, experiments
 from dlczsim.fitters import FitResult
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -121,35 +121,6 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             run(["simulate", "--config", config, "--workers", workers])
         assert exc.value.code == 2
-
-    def test_workers_are_capped_by_trials(self, tmp_path, monkeypatch):
-        # an in-process stand-in: a real pool of this size would fork per worker
-        recorded = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                recorded.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(chain_sim, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(chain_sim.os, "cpu_count", lambda: 64)
-        config = write_chain_config(tmp_path)
-        outs = [tmp_path / "one", tmp_path / "many"]
-        assert run(["simulate", "--config", config, "--trials", 3, "--out-dir", outs[0],
-                    "--workers", 1]) == 0
-        assert recorded == []
-        assert run(["simulate", "--config", config, "--trials", 3, "--out-dir", outs[1],
-                    "--workers", 100_000]) == 0
-        assert recorded == [3]
-        assert (outs[0] / "trace.json").read_bytes() == (outs[1] / "trace.json").read_bytes()
 
     @pytest.mark.parametrize("n_levels", [21, 64])
     def test_too_deep_chain_exits_three_before_any_trial(
@@ -350,3 +321,52 @@ class TestSweep:
         config = write_chain_config(tmp_path)
         assert run(["sweep", "--config", config, "--param", "bogus",
                     "--min", 0, "--max", 1]) == 2
+
+    @pytest.mark.parametrize("grid, flag", [
+        (["--param", "l0", "--min", 8, "--max", 504, "--fixed-total-km", 0], "--fixed-total-km"),
+        (["--param", "l0", "--min", 8, "--max", 504, "--fixed-total-km", -5], "--fixed-total-km"),
+        (["--param", "l0", "--min", 8, "--max", 504, "--fixed-total-km", "inf"],
+         "--fixed-total-km"),
+        (["--param", "l0", "--min", 8, "--max", 504, "--fixed-total-km", "nan"],
+         "--fixed-total-km"),
+        (["--param", "n_levels", "--min", 0, "--max", "inf"], "--max"),
+        (["--param", "mode_count", "--min", 1, "--max", "1e400"], "--max"),
+    ])
+    def test_non_finite_or_non_positive_bounds_exit_two(self, capsys, grid, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--config", CONFIGS / "projection.ini", *grid])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_fixed_total_far_beyond_the_link_length_stays_finite(self, tmp_path):
+        # the span ratio 1e300 / 1e-300 overflows a float; its log does not
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", CONFIGS / "projection.ini", "--param", "l0",
+                    "--min", "1e-300", "--max", 1, "--steps", 3,
+                    "--fixed-total-km", "1e300", "--out-dir", out]) == 0
+        assert (out / "sweep.csv").exists()
+
+
+class TestUnreadFlags:
+    """A flag a command never reads is an argparse error, not a silent no-op."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", CONFIGS / "projection.ini", "--format", "csv"],
+        ["link-experiment", "--config", CONFIGS / "link_calibrated.ini", "--format", "csv"],
+        ["fit", "data.csv", "--model", "linear", "--format", "csv"],
+        ["sweep", "--config", CONFIGS / "projection.ini", "--param", "r0",
+         "--min", 0.1, "--max", 0.9, "--format", "csv"],
+        ["fit", "data.csv", "--model", "linear", "--config", "/nonexistent.ini"],
+    ])
+    def test_exits_two(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+    def test_rate_writes_csv(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["rate", "--config", CONFIGS / "projection.ini", "--format", "csv",
+                    "--out-dir", out]) == 0
+        lines = (out / "rate.csv").read_text().splitlines()
+        assert lines[0] == "level,p_i,t_i_s"
+        assert not (out / "rate.json").exists()
