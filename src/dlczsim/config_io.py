@@ -28,7 +28,6 @@ __all__ = [
     "RunManifest",
     "parse_config",
     "parse_config_text",
-    "serialize_config",
     "format_cell",
     "format_float",
     "canonical_json",
@@ -43,8 +42,9 @@ ARTIFACT_VERSION = "1.0"
 class ExperimentConfig:
     """Budgets for the link-experiment command.
 
-    Storage times are kept in the config's own unit (microseconds) so the
-    serialize/parse round trip is bit exact; use `storage_times` for seconds.
+    Storage times are kept in the config's own unit (microseconds), so the
+    parsed values and the manifest's echo of them are the numbers in the file;
+    use `storage_times` for seconds.
     """
 
     storage_times_us: tuple[float, ...] = (1.0, 150.0)
@@ -191,36 +191,6 @@ def parse_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, source=str(path))
-
-
-def _serialize_section(keys, obj) -> dict[str, str]:
-    out = {}
-    for key, fieldname, _ in keys:
-        value = getattr(obj, fieldname)
-        if isinstance(value, tuple):
-            out[key] = ", ".join(repr(v) if isinstance(v, float) else str(v)
-                                 for v in value)
-        else:
-            out[key] = repr(value) if isinstance(value, float) else str(value)
-    return out
-
-
-def serialize_config(config: RunConfig) -> str:
-    """Render a RunConfig as INI text; parse_config_text inverts it exactly.
-
-    Floats are serialized with repr so the round trip is bit exact.
-    """
-    parser = configparser.ConfigParser(interpolation=None)
-    if config.link is not None:
-        parser["link"] = _serialize_section(_LINK_KEYS, config.link)
-    if config.chain is not None:
-        parser["chain"] = _serialize_section(_CHAIN_KEYS, config.chain)
-    parser["sim"] = _serialize_section(_SIM_KEYS, config)
-    parser["experiment"] = _serialize_section(_EXPERIMENT_KEYS, config.experiment)
-    from io import StringIO
-    buffer = StringIO()
-    parser.write(buffer)
-    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------

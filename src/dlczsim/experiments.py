@@ -16,19 +16,13 @@ import numpy as np
 
 from .errors import NoHeraldsError, ParameterError
 from .fitters import FitResult, Samples, fit_sinusoid
-from .link_physics import LinkParams, LinkTally, fringe_expectation, run_link_trials
-from .metrics import (
-    CountsRecord,
-    bootstrap_concurrence_stderr,
-    concurrence,
-    intrinsic_efficiency,
-)
+from .link_physics import LinkParams, fringe_expectation, run_link_trials
+from .metrics import bootstrap_concurrence_stderr, concurrence, intrinsic_efficiency
 from .streams import substream
 
 __all__ = [
     "StorageTimePoint",
     "ModeCountPoint",
-    "counts_record",
     "fringe_counts",
     "measure_visibility",
     "storage_time_scan",
@@ -78,18 +72,7 @@ class ModeCountPoint:
         }
 
 
-def counts_record(tally: LinkTally) -> CountsRecord:
-    """Repackage a LinkTally as the estimator-facing CountsRecord."""
-    return CountsRecord(
-        stokes_window_counts=tally.window_counts.copy(),
-        anti_stokes_counts=tally.pmn_counts.copy(),
-        trains=tally.trains,
-        heralded=tally.heralded,
-        storage_time=tally.storage_time,
-    )
-
-
-def fringe_counts(params: LinkParams, storage_time: float, seed,
+def fringe_counts(params: LinkParams, storage_time: float, rng: np.random.Generator,
                   phases: int = DEFAULT_PHASES,
                   shots_per_phase: int = DEFAULT_SHOTS_PER_PHASE) -> Samples:
     """Poisson-sampled coincidence counts across one fringe period.
@@ -99,14 +82,13 @@ def fringe_counts(params: LinkParams, storage_time: float, seed,
     """
     if phases < 4:
         raise ParameterError(f"a fringe scan needs >= 4 phases, got {phases}")
-    rng = substream(seed, 0) if isinstance(seed, int) else seed
     theta = np.linspace(0.0, 2.0 * np.pi, phases, endpoint=False)
     expected = shots_per_phase * fringe_expectation(theta, storage_time, params)
     counts = rng.poisson(expected).astype(float)
     return Samples.from_xy(theta, counts)
 
 
-def measure_visibility(params: LinkParams, storage_time: float, seed,
+def measure_visibility(params: LinkParams, storage_time: float, rng: np.random.Generator,
                        phases: int = DEFAULT_PHASES,
                        shots_per_phase: int = DEFAULT_SHOTS_PER_PHASE,
                        ) -> tuple[float, float, FitResult]:
@@ -116,7 +98,7 @@ def measure_visibility(params: LinkParams, storage_time: float, seed,
     cannot bias the way raw max/min bins can (the raw estimator picks the most
     upward-fluctuated bin as the maximum).
     """
-    samples = fringe_counts(params, storage_time, seed, phases, shots_per_phase)
+    samples = fringe_counts(params, storage_time, rng, phases, shots_per_phase)
     fit = fit_sinusoid(samples)
     return fit.params["visibility"], fit.stderr["visibility"], fit
 
@@ -147,7 +129,7 @@ def storage_time_scan(params: LinkParams, storage_times, trains: int, seed: int,
         if result is None:
             raise NoHeraldsError(
                 f"no heralds collected at storage_time={t}: increase trains ({trains})")
-        eta = intrinsic_efficiency(counts_record(tally), tally.pmn(), params.detection_eff)
+        eta = intrinsic_efficiency(tally.pmn(), params.detection_eff)
         points.append(StorageTimePoint(
             storage_time=float(t),
             concurrence=result.concurrence,

@@ -66,25 +66,25 @@ class Samples:
         """Read columns x,y[,weight] (header row required)."""
         try:
             with open(Path(path), newline="") as fh:
-                reader = csv.reader(row for row in fh if not row.startswith("#"))
-                header = next(reader, None)
-                if header is None:
-                    raise ConfigError(f"{path}: empty CSV")
-                cols = [c.strip().lower() for c in header]
-                if cols[:2] != ["x", "y"] or (len(cols) > 2 and cols[2] != "weight"):
-                    raise ConfigError(f"{path}: expected header x,y[,weight], got {header}")
-                rows = []
-                for lineno, row in enumerate(reader, start=2):
-                    if not row:
-                        continue
-                    if len(row) != len(cols):
-                        raise ConfigError(
-                            f"{path}:{lineno}: expected {len(cols)} fields, got {len(row)}")
-                    rows.append([float(v) for v in row])
-        except OSError as exc:
+                # a comment reads as an empty record, so records keep line numbers
+                records = list(csv.reader("" if line.startswith("#") else line for line in fh))
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed CSV value: {exc}") from exc
+        numbered = [(lineno, row) for lineno, row in enumerate(records, start=1) if row]
+        if not numbered:
+            raise ConfigError(f"{path}: empty CSV")
+        header = numbered[0][1]
+        cols = [c.strip().lower() for c in header]
+        if cols not in (["x", "y"], ["x", "y", "weight"]):
+            raise ConfigError(f"{path}: expected header x,y[,weight], got {header}")
+        rows = []
+        for lineno, row in numbered[1:]:
+            if len(row) != len(cols):
+                raise ConfigError(f"{path}:{lineno}: expected {len(cols)} fields, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: malformed CSV value: {exc}") from exc
         if not rows:
             raise ConfigError(f"{path}: no data rows")
         data = np.asarray(rows, dtype=float)

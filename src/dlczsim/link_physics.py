@@ -15,7 +15,7 @@ Interference coherence enters only through the closed-form fringe functions
 (`fringe_expectation`, `fringe_visibility`), never through sampling.
 
 Sampling is one vectorized pipeline (`run_link_trials`) over a batch of trains,
-pure in (params, seed). It is sparse: at chi ~ 1% almost every (train, node,
+a function of (params, rng). It is sparse: at chi ~ 1% almost every (train, node,
 mode) slot is vacuum, so the stages carry only what can matter. The excited
 slots are drawn as a Bernoulli(1 - P(0)) process over the flattened slot index
 (a binomial count, then uniform positions) and each gets k = 1 or 2; Stokes
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError, check_fields
-from .streams import as_generator
 
 __all__ = [
     "LinkParams",
@@ -362,17 +361,17 @@ class LinkTally:
 _CHUNK_SLOTS = 6_000_000
 
 
-def run_link_trials(params: LinkParams, storage_time: float, trains: int, seed) -> LinkTally:
+def run_link_trials(params: LinkParams, storage_time: float, trains: int,
+                    rng: np.random.Generator) -> LinkTally:
     """Run the full write -> herald -> readout pipeline for many trains.
 
     Chunking is a pure function of (trains, mode_count), so the result is
-    deterministic in (params, trains, seed).
+    deterministic in (params, trains, generator state).
     """
     if trains < 1:
         raise ParameterError(f"trains must be >= 1, got {trains}")
     if storage_time < 0:
         raise ParameterError(f"storage_time must be >= 0, got {storage_time}")
-    rng = as_generator(seed)
     chunk = max(1, _CHUNK_SLOTS // (2 * params.mode_count))
     tally = LinkTally(
         trains=0, heralded=0, double_heralds=0, storage_time=storage_time,

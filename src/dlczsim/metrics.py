@@ -1,7 +1,7 @@
 """Estimators turning coincidence counts into link figures of merit.
 
 All three estimators are pure functions of their inputs; the bootstrap helper
-is pure in (counts, seed).
+is deterministic in (counts, generator state).
 """
 
 from __future__ import annotations
@@ -12,10 +12,8 @@ import numpy as np
 
 from .errors import ContractError, EstimatorError, ParameterError
 from .link_physics import PmnTable
-from .streams import as_generator
 
 __all__ = [
-    "CountsRecord",
     "ConcurrenceResult",
     "concurrence",
     "visibility",
@@ -23,50 +21,16 @@ __all__ = [
     "bootstrap_concurrence_stderr",
 ]
 
-
-@dataclass(frozen=True)
-class CountsRecord:
-    """Raw counting data for one storage-time point.
-
-    stokes_window_counts  (N, 2) herald counts per (window, Stokes detector).
-    anti_stokes_counts    (2, 2) conditional readout click-pattern counts,
-                          indexed [m, n] with clicks clamped to 0/1.
-    trains                number of write trains attempted.
-    heralded              number of heralded trains (= sum of window counts).
-    storage_time          seconds between herald and readout.
-    """
-
-    stokes_window_counts: np.ndarray
-    anti_stokes_counts: np.ndarray
-    trains: int
-    heralded: int
-    storage_time: float
-
-    def __post_init__(self):
-        sw = np.asarray(self.stokes_window_counts)
-        ac = np.asarray(self.anti_stokes_counts)
-        if sw.ndim != 2 or sw.shape[1] != 2 or ac.shape != (2, 2):
-            raise ParameterError("stokes_window_counts must be (N, 2) and anti_stokes_counts (2, 2)")
-        if (sw < 0).any() or (ac < 0).any() or self.trains < 0 or self.heralded < 0:
-            raise ParameterError("counts must be non-negative")
-        if self.heralded > self.trains:
-            raise ParameterError(f"heralded ({self.heralded}) exceeds trains ({self.trains})")
-        if int(sw.sum()) != self.heralded:
-            raise ParameterError(
-                f"window counts sum to {int(sw.sum())} but heralded = {self.heralded}")
-        if self.storage_time < 0:
-            raise ParameterError("storage_time must be >= 0")
+# Dirichlet resamples per bootstrap error bar
+BOOTSTRAP_REPLICATES = 400
 
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Concurrence estimate plus the quantities it was computed from."""
+    """Concurrence estimate, its coherence term and its bootstrap error."""
 
     concurrence: float
     coherence: float            # d = V (p01 + p10) / 2
-    normalization: float        # P = sum of the four cells
-    pmn: PmnTable
-    visibility: float
     stderr: float | None = None
 
 
@@ -97,15 +61,11 @@ def concurrence(pmn: PmnTable, visibility: float) -> ConcurrenceResult:
     return ConcurrenceResult(
         concurrence=min(max(0.0, value), 1.0),
         coherence=d,
-        normalization=total,
-        pmn=pmn,
-        visibility=visibility,
     )
 
 
-def bootstrap_concurrence_stderr(pmn_counts, visibility: float, seed,
-                                 visibility_stderr: float = 0.0,
-                                 replicates: int = 400) -> float:
+def bootstrap_concurrence_stderr(pmn_counts, visibility: float, rng: np.random.Generator,
+                                 visibility_stderr: float = 0.0) -> float:
     """Bootstrap standard error of the concurrence estimate.
 
     ``pmn_counts`` are the four raw cell counts (c00, c01, c10, c11) over the
@@ -117,14 +77,12 @@ def bootstrap_concurrence_stderr(pmn_counts, visibility: float, seed,
     both uncertainty sources propagate.
     """
     counts = np.asarray(pmn_counts, dtype=np.int64).reshape(4)
-    total = int(counts.sum())
-    if total <= 0:
+    if counts.sum() <= 0:
         raise EstimatorError("bootstrap needs at least one heralded trial")
-    rng = as_generator(seed)
-    resampled = rng.dirichlet(counts + 0.5, size=replicates)
-    vs = np.full(replicates, visibility)
+    resampled = rng.dirichlet(counts + 0.5, size=BOOTSTRAP_REPLICATES)
+    vs = np.full(BOOTSTRAP_REPLICATES, visibility)
     if visibility_stderr > 0.0:
-        vs = np.clip(rng.normal(visibility, visibility_stderr, size=replicates), 0.0, 1.0)
+        vs = np.clip(rng.normal(visibility, visibility_stderr, size=vs.size), 0.0, 1.0)
     # Dirichlet rows sum to 1 only to rounding; they are used as drawn
     _, values = _concurrence_terms(*resampled.T, vs)
     values = np.maximum(0.0, values)
@@ -143,19 +101,14 @@ def visibility(max_counts: float, min_counts: float) -> float:
     return (max_counts - min_counts) / (max_counts + min_counts)
 
 
-def intrinsic_efficiency(record: CountsRecord, pmn: PmnTable, eta_d: float) -> float:
+def intrinsic_efficiency(pmn: PmnTable, eta_d: float) -> float:
     """Detection-corrected retrieval efficiency of the heralded spin wave.
 
-    eta = (p01 + p10) / (sum_i (P_i_DS1 + P_i_DS2) * eta_D), with the
-    per-window Stokes probabilities normalized over heralded trials so the
-    denominator reduces to eta_D when every heralded train carries one click.
+    eta = (p01 + p10) / eta_D: the single-click readout probability per
+    heralded trial, divided by the anti-Stokes detection efficiency.
     """
     if not 0.0 < eta_d <= 1.0:
         raise ParameterError(f"eta_d must lie in (0, 1], got {eta_d!r}")
-    if record.heralded == 0:
-        raise EstimatorError("intrinsic efficiency is undefined with zero heralded trials")
-    window_sum = float(np.asarray(record.stokes_window_counts).sum()) / record.heralded
-    denominator = window_sum * eta_d
-    if denominator == 0.0:
-        raise EstimatorError("intrinsic efficiency is undefined: zero Stokes probability mass")
-    return (pmn.p01 + pmn.p10) / denominator
+    if pmn.total == 0.0:
+        raise EstimatorError("intrinsic efficiency is undefined: all four Pmn cells are zero")
+    return (pmn.p01 + pmn.p10) / eta_d

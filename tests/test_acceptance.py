@@ -244,7 +244,6 @@ def test_criterion_7_estimator_identities():
                 break
 
         eff_ok = True
-        from dlczsim.metrics import CountsRecord
         heralds = rng.integers(10, 10_000, size=cases)
         splits = rng.dirichlet((1.0, 1.0, 1.0, 1.0), size=cases)
         eta_ds = rng.uniform(0.05, 1.0, size=cases)
@@ -252,16 +251,8 @@ def test_criterion_7_estimator_identities():
             cells = np.round(split * h).astype(int)
             if cells.sum() == 0:
                 continue
-            h_total = int(cells.sum())
-            record = CountsRecord(
-                stokes_window_counts=np.array([[h_total, 0]]),
-                anti_stokes_counts=cells.reshape(2, 2),
-                trains=h_total * 10,
-                heralded=h_total,
-                storage_time=0.0,
-            )
             table = PmnTable.from_counts(*cells)
-            eta = intrinsic_efficiency(record, table, float(eta_d))
+            eta = intrinsic_efficiency(table, float(eta_d))
             if not 0.0 <= eta <= 1.0 / eta_d + 1e-9:
                 eff_ok = False
                 break

@@ -338,6 +338,15 @@ class TestSweep:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", [1, 10**17])
+    def test_out_of_range_steps_exit_two_before_the_config_is_read(self, capsys, steps):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--config", "/nonexistent.ini", "--param", "l0",
+                 "--min", 8, "--max", 504, "--steps", steps])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --steps" in err and "nonexistent" not in err
+
     def test_fixed_total_far_beyond_the_link_length_stays_finite(self, tmp_path):
         # the span ratio 1e300 / 1e-300 overflows a float; its log does not
         out = tmp_path / "out"

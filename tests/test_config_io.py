@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -9,7 +10,6 @@ from dlczsim.config_io import (
     format_float,
     parse_config,
     parse_config_text,
-    serialize_config,
     write_csv_atomic,
 )
 from dlczsim.errors import ConfigError
@@ -17,11 +17,62 @@ from dlczsim.link_physics import LinkParams
 from dlczsim.rate import ChainParams
 
 
+# every key of every section, each set away from its default and to a value
+# no other key of its section shares, so a key read into the wrong field shows
+SAMPLE_INI = """\
+[link]
+chi = 0.0123
+mode_count = 7
+pulse_interval_s = 5e-07
+train_duration_s = 9.5e-06
+retrieval_eff_zero = 0.65
+memory_lifetime_s = 0.00025
+detection_eff = 0.19
+eta_td = 0.11
+visibility_cap = 0.97
+dark_count_prob = 2e-05
+crosstalk_eps = 0.3
+phase_s_rad = 0.25
+phase_as_rad = -0.5
+
+[chain]
+l0_km = 50.5
+l_att_km = 21.5
+n_levels = 3
+fiber_speed_km_s = 199000.0
+eta_fc = 0.5
+eta_td = 0.85
+chi = 0.02
+mode_count = 64
+r0 = 0.75
+tau0_s = 12.5
+swap_intrinsic_factor = 0.6
+
+[sim]
+trials = 321
+seed = 998877
+max_sim_time_s = 123.25
+
+[experiment]
+storage_times_us = 1.0, 5.0, 150.0
+mode_counts = 1, 3, 12
+trains = 5000
+window_budget = 60000
+fringe_phases = 16
+fringe_shots = 1234
+"""
+
+
 def sample_config() -> RunConfig:
     return RunConfig(
-        link=LinkParams(chi=0.0123, mode_count=7, crosstalk_eps=0.3,
-                        detection_eff=0.19, eta_td=0.11),
-        chain=ChainParams(l0=50.5, chi=0.02, mode_count=64, tau0=12.5),
+        link=LinkParams(chi=0.0123, mode_count=7, pulse_interval=5e-7,
+                        train_duration=9.5e-6, retrieval_eff_zero=0.65,
+                        memory_lifetime=0.25e-3, detection_eff=0.19, eta_td=0.11,
+                        visibility_cap=0.97, dark_count_prob=2e-5, crosstalk_eps=0.3,
+                        phase_s=0.25, phase_as=-0.5),
+        chain=ChainParams(l0=50.5, l_att=21.5, n_levels=3, fiber_speed=1.99e5,
+                          eta_fc=0.5, eta_td=0.85, chi=0.02, mode_count=64, r0=0.75,
+                          tau0=12.5, swap_intrinsic_factor=0.6),
         trials=321,
         seed=998877,
         max_sim_time=123.25,
@@ -37,17 +88,24 @@ def sample_config() -> RunConfig:
 
 
 class TestRoundTrip:
-    def test_parse_inverts_serialize_exactly(self):
+    def test_sample_sets_every_field_away_from_its_default(self):
         config = sample_config()
-        text = serialize_config(config)
-        parsed = parse_config_text(text)
-        assert parsed == config
+        for obj in (config.link, config.chain, config.experiment):
+            values = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+            assert len(set(values)) == len(values)
+            for f, value in zip(dataclasses.fields(obj), values):
+                assert f.default is dataclasses.MISSING or value != f.default, f.name
+        for f in dataclasses.fields(RunConfig):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(config, f.name) != f.default, f.name
+
+    def test_every_key_maps_to_its_field(self):
+        assert parse_config_text(SAMPLE_INI) == sample_config()
 
     def test_round_trip_through_file(self, tmp_path):
-        config = sample_config()
         path = tmp_path / "run.ini"
-        path.write_text(serialize_config(config))
-        assert parse_config(path) == config
+        path.write_text(SAMPLE_INI)
+        assert parse_config(path) == sample_config()
 
     def test_shipped_configs_parse(self):
         from pathlib import Path

@@ -42,6 +42,25 @@ class TestSamples:
         ragged.write_text("x,y\n1,2\n3\n")
         with pytest.raises(ConfigError):
             Samples.from_csv(ragged)
+        extra_column = tmp_path / "four.csv"
+        extra_column.write_text("x,y,weight,junk\n1,2,1,9\n2,3,1,9\n")
+        with pytest.raises(ConfigError, match="expected header"):
+            Samples.from_csv(extra_column)
+        long_row = tmp_path / "ragged.csv"
+        long_row.write_text("x,y\n1,2,3\n")
+        with pytest.raises(ConfigError) as exc:
+            Samples.from_csv(long_row)
+        assert str(exc.value) == f"{long_row}:2: expected 2 fields, got 3"
+        commented = tmp_path / "c.csv"
+        commented.write_text("# run 7\nx,y\n# gain 2\n1,2\n\n2,abc\n")
+        with pytest.raises(ConfigError, match=r"c\.csv:6: malformed CSV value"):
+            Samples.from_csv(commented)
+        for name, body in (("latin.csv", b"x,y\n1,\xff\n"),
+                           ("big.csv", b"x,y\n1," + b"2" * 200_000 + b"\n")):
+            unparsable = tmp_path / name
+            unparsable.write_bytes(body)
+            with pytest.raises(ConfigError):
+                Samples.from_csv(unparsable)
 
 
 class TestFitExponential:

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,13 +7,11 @@ from hypothesis import strategies as st
 from dlczsim.errors import ContractError, EstimatorError, ParameterError
 from dlczsim.link_physics import LinkParams, PmnTable, run_link_trials
 from dlczsim.metrics import (
-    CountsRecord,
     bootstrap_concurrence_stderr,
     concurrence,
     intrinsic_efficiency,
     visibility,
 )
-from dlczsim.experiments import counts_record
 from dlczsim.streams import substream
 
 
@@ -77,7 +74,7 @@ class TestBootstrap:
 
     def test_rejects_empty_counts(self):
         with pytest.raises(EstimatorError):
-            bootstrap_concurrence_stderr((0, 0, 0, 0), 0.8, 0)
+            bootstrap_concurrence_stderr((0, 0, 0, 0), 0.8, substream(0, 0))
 
 
 class TestVisibility:
@@ -103,32 +100,25 @@ class TestVisibility:
         assert 0.0 <= visibility(mx, mx * frac) <= 1.0 + 1e-12
 
 
-def _record(window_counts, pmn_counts, trains, storage_time=0.0):
-    return CountsRecord(
-        stokes_window_counts=np.asarray(window_counts, dtype=np.int64),
-        anti_stokes_counts=np.asarray(pmn_counts, dtype=np.int64),
-        trains=trains,
-        heralded=int(np.asarray(window_counts).sum()),
-        storage_time=storage_time,
-    )
-
-
 class TestIntrinsicEfficiency:
     def test_lossless_synthetic_data(self):
         # every heralded trial reads out exactly once: eta = 1
-        record = _record([[500, 500]], [[0, 500], [500, 0]], trains=5000)
         pmn = PmnTable.from_counts(0, 500, 500, 0)
-        assert intrinsic_efficiency(record, pmn, 1.0) == pytest.approx(1.0)
+        assert intrinsic_efficiency(pmn, 1.0) == pytest.approx(1.0)
 
     def test_zero_denominator_is_undefined(self):
-        record = _record([[0, 0]], [[0, 0], [0, 0]], trains=10)
+        # an all-zero table is zero heralded trials: no count to normalize by
         with pytest.raises(EstimatorError):
-            intrinsic_efficiency(record, PmnTable(1.0, 0.0, 0.0, 0.0), 0.9)
+            intrinsic_efficiency(PmnTable(0.0, 0.0, 0.0, 0.0), 0.9)
+
+    @pytest.mark.parametrize("eta_d", [0.0, -0.1, 1.5, math.nan])
+    def test_rejects_detection_efficiency_outside_unit_interval(self, eta_d):
+        with pytest.raises(ParameterError):
+            intrinsic_efficiency(PmnTable.from_counts(0, 5, 5, 0), eta_d)
 
     def test_recovers_retrieval_efficiency_at_zero_delay(self, clean_link):
         tally = run_link_trials(clean_link, 1e-9, 700_000, substream(3, 0))
-        record = counts_record(tally)
-        eta = intrinsic_efficiency(record, tally.pmn(), clean_link.detection_eff)
+        eta = intrinsic_efficiency(tally.pmn(), clean_link.detection_eff)
         p = (tally.pmn().p01 + tally.pmn().p10)
         sigma = math.sqrt(p * (1 - p) / tally.heralded) / clean_link.detection_eff
         # double-excitation heralds push the estimate ~0.5% above R0
@@ -136,29 +126,8 @@ class TestIntrinsicEfficiency:
 
     def test_decays_by_one_over_e_at_one_lifetime(self, clean_link):
         tally = run_link_trials(clean_link, 0.3e-3, 700_000, substream(3, 1))
-        record = counts_record(tally)
-        eta = intrinsic_efficiency(record, tally.pmn(), clean_link.detection_eff)
+        eta = intrinsic_efficiency(tally.pmn(), clean_link.detection_eff)
         expected = 0.707 * math.exp(-1.0)
         p = (tally.pmn().p01 + tally.pmn().p10)
         sigma = math.sqrt(p * (1 - p) / tally.heralded) / clean_link.detection_eff
         assert abs(eta - expected) < 3 * sigma + 0.005
-
-
-class TestCountsRecord:
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ParameterError):
-            _record([[-1, 0]], [[0, 0], [0, 0]], trains=10)
-
-    def test_rejects_heralded_above_trains(self):
-        with pytest.raises(ParameterError):
-            _record([[80, 40]], [[0, 0], [0, 0]], trains=100)
-
-    def test_rejects_inconsistent_totals(self):
-        with pytest.raises(ParameterError):
-            CountsRecord(
-                stokes_window_counts=np.array([[5, 5]]),
-                anti_stokes_counts=np.zeros((2, 2), dtype=int),
-                trains=100,
-                heralded=9,
-                storage_time=0.0,
-            )
