@@ -99,30 +99,22 @@ def solve_calibration() -> dict[str, float]:
     crosstalk background scale with it); detection_eff then sets the
     concurrence through the Pmn balance.
     """
-    base = dict(
-        chi=CALIBRATION_TARGETS["chi"],
-        mode_count=CALIBRATION_TARGETS["mode_count"],
-        retrieval_eff_zero=CALIBRATION_TARGETS["retrieval_eff_zero"],
-        memory_lifetime=CALIBRATION_TARGETS["memory_lifetime"],
-        visibility_cap=1.0,
-    )
-
     eta_td = _bisect(
-        lambda e: expected_window_detection(LinkParams(eta_td=e, **base))
+        lambda e: expected_window_detection(calibrated_link_params(eta_td=e))
         - CALIBRATION_TARGETS["single_mode_detection"],
         1e-6, 0.999)
 
     def vis_gap(eps):
-        params = LinkParams(eta_td=eta_td, crosstalk_eps=eps, detection_eff=0.5, **base)
+        params = calibrated_link_params(eta_td=eta_td, crosstalk_eps=eps, detection_eff=0.5)
         return fringe_visibility(params, 1e-6)[1] - CALIBRATION_TARGETS["visibility_1us"]
 
     crosstalk_eps = _bisect(vis_gap, 1e-9, 1.0)
 
     def conc_gap(eta_d):
-        params = LinkParams(eta_td=eta_td, crosstalk_eps=crosstalk_eps,
-                            detection_eff=eta_d, **base)
+        params = calibrated_link_params(eta_td=eta_td, crosstalk_eps=crosstalk_eps,
+                                        detection_eff=eta_d)
         vis = fringe_visibility(params, 1e-6)[1]
-        return (concurrence(expected_pmn(params, 1e-6), vis).concurrence
+        return (concurrence(expected_pmn(params, 1e-6), vis)
                 - CALIBRATION_TARGETS["concurrence_1us"])
 
     detection_eff = _bisect(conc_gap, 0.01, 0.99)

@@ -54,6 +54,14 @@ BLOCK = 64
 MAX_SIM_LEVELS = 20
 
 
+# check_fields spec of the run budget, shared with config_io.RunConfig
+SIM_FIELDS = (
+    ("trials", int, ">= 1"),
+    ("seed", int, ">= 0"),
+    ("max_sim_time", float, "> 0"),
+)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One Monte Carlo run: chain constants, trial budget, seed, abort guard."""
@@ -64,11 +72,7 @@ class SimConfig:
     max_sim_time: float = 3600.0
 
     def __post_init__(self):
-        check_fields(self, (
-            ("trials", int, ">= 1"),
-            ("seed", int, ">= 0"),
-            ("max_sim_time", float, "> 0"),
-        ))
+        check_fields(self, SIM_FIELDS)
         # the guard counts ticks of T_cc: more than one, and finitely many
         if not 1.0 < self.max_sim_time / self.chain.t_cc < math.inf:
             raise ParameterError(f"max_sim_time ({self.max_sim_time}) must exceed T_cc "

@@ -24,7 +24,6 @@ from pathlib import Path
 from . import __version__
 from .chain_sim import simulate_chain, simulate_elementary_link
 from .config_io import (
-    RunManifest,
     canonical_json,
     config_as_dict,
     format_cell,
@@ -44,6 +43,9 @@ EXIT_DOMAIN = 3
 EXIT_DEGENERATE = 4
 EXIT_NO_CONVERGENCE = 5
 
+# version of the manifest.json layout
+ARTIFACT_VERSION = "1.0"
+
 # largest `sweep --steps`; the grid is built in memory before any output
 MAX_SWEEP_STEPS = 100_000
 
@@ -54,22 +56,31 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", type=Path, help="directory for result files")
 
 
+def _number(text: str, cast):
+    """``cast(text)``, or an argparse error that names the expected kind."""
+    try:
+        return cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _number(text, int)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _sweep_steps(text: str) -> int:
-    value = int(text)
+    value = _number(text, int)
     if not 2 <= value <= MAX_SWEEP_STEPS:
         raise argparse.ArgumentTypeError(f"must lie in [2, {MAX_SWEEP_STEPS}], got {value}")
     return value
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    value = _number(text, float)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
@@ -162,9 +173,16 @@ class _Run:
     def finish(self, parameters: dict, seed: int, code: int = EXIT_OK) -> int:
         """Write the manifest and return the exit code."""
         if self.out_dir is not None:
-            RunManifest(command=self.command, parameters=parameters, seed=seed,
-                        outputs=sorted(self.outputs), duration_s=time.time() - self.started,
-                        ).write(Path(self.out_dir) / "manifest.json")
+            now = time.time()
+            write_text_atomic(Path(self.out_dir) / "manifest.json", canonical_json({
+                "artifact_version": ARTIFACT_VERSION,
+                "command": self.command,
+                "created_unix": now,
+                "duration_s": now - self.started,
+                "outputs": sorted(self.outputs),
+                "parameters": parameters,
+                "seed": seed,
+            }))
         return code
 
 
@@ -281,7 +299,7 @@ def cmd_fit(args) -> int:
     run = _Run(args, "fit")
     samples = Samples.from_csv(args.csv)
     result = _FIT_DISPATCH[args.model](samples)
-    text = canonical_json(result.to_dict())
+    text = canonical_json(dataclasses.asdict(result))
     print(text, end="")
     run.emit("fit.json", write_text_atomic, text)
     code = EXIT_OK
@@ -314,12 +332,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep requires a [chain] section")
     field_names = {f.name for f in dataclasses.fields(ChainParams)}
     if args.param not in field_names:
-        print(f"error: unknown chain parameter {args.param!r}; choose from "
-              f"{sorted(field_names)}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ConfigError(f"unknown chain parameter {args.param!r}; choose from "
+                          f"{sorted(field_names)}")
     if args.max <= args.min:
-        print("error: need --max > --min", file=sys.stderr)
-        return EXIT_PARSE
+        raise ConfigError("need --max > --min")
+    if args.fixed_total_km is not None and args.param != "l0":
+        raise ConfigError("--fixed-total-km only applies to --param l0")
 
     is_int = args.param in ("n_levels", "mode_count")
     grid = []
@@ -327,19 +345,14 @@ def cmd_sweep(args) -> int:
         value = args.min + (args.max - args.min) * i / (args.steps - 1)
         grid.append(int(round(value)) if is_int else value)
 
-    fixed_total = getattr(args, "fixed_total_km", None)
-    if fixed_total is not None and args.param != "l0":
-        print("error: --fixed-total-km only applies to --param l0", file=sys.stderr)
-        return EXIT_PARSE
-
     rows = []
     for value in grid:
         chain = dataclasses.replace(config.chain, **{args.param: value})
-        if fixed_total is not None:
+        if args.fixed_total_km is not None:
             # keep 2^n * l0 as close to the requested span as integer n allows;
             # the replace above has checked l0 > 0, and a difference of logs
             # stays finite where the ratio would overflow
-            n_levels = max(0, round(math.log2(fixed_total) - math.log2(value)))
+            n_levels = max(0, round(math.log2(args.fixed_total_km) - math.log2(value)))
             chain = dataclasses.replace(chain, n_levels=n_levels)
         try:
             rate = swap_chain(chain).rate_hz

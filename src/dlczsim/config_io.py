@@ -1,4 +1,4 @@
-"""Configuration files, run manifests, and deterministic result writers.
+"""Configuration files and deterministic result writers.
 
 Configs are INI text with one section per subsystem and explicit units in the
 key names (l0_km, tau0_s, ...) so a value can never be mis-read in the wrong
@@ -13,11 +13,10 @@ import dataclasses
 import json
 import os
 import tempfile
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .chain_sim import SimConfig
+from .chain_sim import SIM_FIELDS, SimConfig
 from .errors import ConfigError, check_fields
 from .link_physics import LinkParams
 from .rate import ChainParams
@@ -25,7 +24,6 @@ from .rate import ChainParams
 __all__ = [
     "ExperimentConfig",
     "RunConfig",
-    "RunManifest",
     "parse_config",
     "parse_config_text",
     "format_cell",
@@ -34,8 +32,6 @@ __all__ = [
     "write_text_atomic",
     "write_csv_atomic",
 ]
-
-ARTIFACT_VERSION = "1.0"
 
 
 @dataclass(frozen=True)
@@ -79,6 +75,9 @@ class RunConfig:
     seed: int = 0
     max_sim_time: float = 3600.0
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
+
+    def __post_init__(self):
+        check_fields(self, SIM_FIELDS)
 
     def sim_config(self) -> SimConfig:
         if self.chain is None:
@@ -243,25 +242,6 @@ def write_csv_atomic(path, header, rows, trailer_comments=()) -> None:
         lines.append(",".join(format_cell(v) for v in row))
     lines.extend(f"# {comment}" for comment in trailer_comments)
     write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-@dataclass
-class RunManifest:
-    """Provenance record written next to every command's outputs."""
-
-    command: str
-    parameters: dict
-    seed: int
-    outputs: list[str]
-    artifact_version: str = ARTIFACT_VERSION
-    duration_s: float = 0.0
-    created_unix: float = field(default_factory=time.time)
-
-    def to_json(self) -> str:
-        return canonical_json(dataclasses.asdict(self))
-
-    def write(self, path) -> None:
-        write_text_atomic(path, self.to_json())
 
 
 def config_as_dict(config: RunConfig) -> dict:

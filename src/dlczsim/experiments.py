@@ -105,16 +105,18 @@ def measure_visibility(params: LinkParams, storage_time: float, rng: np.random.G
 
 def _point(params: LinkParams, storage_time: float, trains: int, seed_root: int,
            stream: int, phases: int, shots_per_phase: int):
+    """(tally, C, C_stderr, V, V_stderr) of one scan point."""
     tally = run_link_trials(params, storage_time, trains, substream(seed_root, stream, 0))
     if tally.heralded == 0:
-        return tally, None, 0.0, float("inf")
+        raise NoHeraldsError(
+            f"no heralds in {trains} trains at storage_time={storage_time} s, "
+            f"N={params.mode_count}: increase the train budget")
     vis, vis_err, _ = measure_visibility(
         params, storage_time, substream(seed_root, stream, 1), phases, shots_per_phase)
-    result = concurrence(tally.pmn(), vis)
     stderr = bootstrap_concurrence_stderr(
         tally.pmn_counts.reshape(4), vis,
         substream(seed_root, stream, 2), visibility_stderr=vis_err)
-    return tally, dataclasses.replace(result, stderr=stderr), vis, vis_err
+    return tally, concurrence(tally.pmn(), vis), stderr, vis, vis_err
 
 
 def storage_time_scan(params: LinkParams, storage_times, trains: int, seed: int,
@@ -124,19 +126,15 @@ def storage_time_scan(params: LinkParams, storage_times, trains: int, seed: int,
     """Run the full pipeline at each storage time. ``trains`` applies per point."""
     points = []
     for index, t in enumerate(storage_times):
-        tally, result, vis, vis_err = _point(
+        tally, c, c_err, vis, vis_err = _point(
             params, float(t), trains, seed, index, phases, shots_per_phase)
-        if result is None:
-            raise NoHeraldsError(
-                f"no heralds collected at storage_time={t}: increase trains ({trains})")
-        eta = intrinsic_efficiency(tally.pmn(), params.detection_eff)
         points.append(StorageTimePoint(
             storage_time=float(t),
-            concurrence=result.concurrence,
-            concurrence_stderr=result.stderr,
+            concurrence=c,
+            concurrence_stderr=c_err,
             visibility=vis,
             visibility_stderr=vis_err,
-            efficiency=eta,
+            efficiency=intrinsic_efficiency(tally.pmn(), params.detection_eff),
             heralded=tally.heralded,
             trains=tally.trains,
         ))
@@ -161,7 +159,7 @@ def mode_count_scan(params: LinkParams, mode_counts, storage_time: float,
             params, mode_count=n,
             train_duration=max(params.train_duration, params.pulse_interval * n))
         trains = max(1, window_budget // n)
-        tally, result, vis, vis_err = _point(
+        tally, c, c_err, _, _ = _point(
             scan_params, storage_time, trains, seed, 1000 + index, phases, shots_per_phase)
         p_d = tally.detection_probability
         # clicks across windows are nearly independent Bernoullis at these rates
@@ -170,8 +168,8 @@ def mode_count_scan(params: LinkParams, mode_counts, storage_time: float,
             mode_count=n,
             detection_probability=p_d,
             detection_stderr=stderr,
-            concurrence=result.concurrence if result else 0.0,
-            concurrence_stderr=result.stderr if result else float("inf"),
+            concurrence=c,
+            concurrence_stderr=c_err,
             heralded=tally.heralded,
             trains=tally.trains,
         ))

@@ -103,16 +103,6 @@ class FitResult:
     converged: bool
     iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "params": dict(self.params),
-            "stderr": dict(self.stderr),
-            "rss": self.rss,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
-
 
 def _covariance(jacobian: np.ndarray, weight: np.ndarray, rss: float) -> np.ndarray:
     m, p = jacobian.shape

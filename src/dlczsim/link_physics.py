@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, check_fields
+from .errors import ParameterError, check_fields
 
 __all__ = [
     "LinkParams",
@@ -322,25 +322,10 @@ class LinkTally:
     trains: int
     heralded: int
     double_heralds: int
-    storage_time: float
     pmn_counts: np.ndarray            # (2, 2) clamped click-pattern counts
     window_counts: np.ndarray         # (N, 2) herald counts per (window, detector)
     detector_clicks: int              # Stokes clicks over ALL windows (no first-click cut)
     coincidence_windows: int          # windows where both Stokes detectors clicked
-
-    def merge(self, other: "LinkTally") -> "LinkTally":
-        if other.storage_time != self.storage_time:
-            raise ContractError("cannot merge tallies taken at different storage times")
-        return LinkTally(
-            trains=self.trains + other.trains,
-            heralded=self.heralded + other.heralded,
-            double_heralds=self.double_heralds + other.double_heralds,
-            storage_time=self.storage_time,
-            pmn_counts=self.pmn_counts + other.pmn_counts,
-            window_counts=self.window_counts + other.window_counts,
-            detector_clicks=self.detector_clicks + other.detector_clicks,
-            coincidence_windows=self.coincidence_windows + other.coincidence_windows,
-        )
 
     @property
     def herald_probability(self) -> float:
@@ -372,38 +357,32 @@ def run_link_trials(params: LinkParams, storage_time: float, trains: int,
         raise ParameterError(f"trains must be >= 1, got {trains}")
     if storage_time < 0:
         raise ParameterError(f"storage_time must be >= 0, got {storage_time}")
-    chunk = max(1, _CHUNK_SLOTS // (2 * params.mode_count))
-    tally = LinkTally(
-        trains=0, heralded=0, double_heralds=0, storage_time=storage_time,
-        pmn_counts=np.zeros((2, 2), dtype=np.int64),
-        window_counts=np.zeros((params.mode_count, 2), dtype=np.int64),
-        detector_clicks=0, coincidence_windows=0)
-    done = 0
-    while done < trains:
-        n = min(chunk, trains - done)
-        tally = tally.merge(_run_chunk(params, storage_time, n, rng))
-        done += n
-    return tally
-
-
-def _run_chunk(params: LinkParams, storage_time: float, n: int,
-               rng: np.random.Generator) -> LinkTally:
     n_modes = params.mode_count
-    slot, k = _sample_excitations(params, n, rng)
-    window, click1, click2, survivors = _stokes_clicks(slot, k, n, params, rng)
-    train, mode, detector, double = _first_herald(window, click1, click2, survivors,
-                                                  n_modes, rng)
-    m, n_clicks = _readout_counts(slot, k, train, mode, storage_time, params, rng)
-    pattern = 2 * np.minimum(m, 1) + np.minimum(n_clicks, 1)
+    chunk = max(1, _CHUNK_SLOTS // (2 * n_modes))
+    heralded = double_heralds = detector_clicks = coincidence_windows = 0
+    pmn_counts = np.zeros(4, dtype=np.int64)
+    window_counts = np.zeros(2 * n_modes, dtype=np.int64)
+    for done in range(0, trains, chunk):
+        n = min(chunk, trains - done)
+        slot, k = _sample_excitations(params, n, rng)
+        window, click1, click2, survivors = _stokes_clicks(slot, k, n, params, rng)
+        train, mode, detector, double = _first_herald(window, click1, click2, survivors,
+                                                      n_modes, rng)
+        m, n_clicks = _readout_counts(slot, k, train, mode, storage_time, params, rng)
+        heralded += train.size
+        double_heralds += int(double.sum())
+        pmn_counts += np.bincount(2 * np.minimum(m, 1) + np.minimum(n_clicks, 1), minlength=4)
+        window_counts += np.bincount(2 * mode + detector, minlength=2 * n_modes)
+        detector_clicks += int(click1.sum()) + int(click2.sum())
+        coincidence_windows += int((click1 & click2).sum())
     return LinkTally(
-        trains=n,
-        heralded=int(train.size),
-        double_heralds=int(double.sum()),
-        storage_time=storage_time,
-        pmn_counts=np.bincount(pattern, minlength=4).reshape(2, 2),
-        window_counts=np.bincount(2 * mode + detector, minlength=2 * n_modes).reshape(n_modes, 2),
-        detector_clicks=int(click1.sum()) + int(click2.sum()),
-        coincidence_windows=int((click1 & click2).sum()),
+        trains=trains,
+        heralded=heralded,
+        double_heralds=double_heralds,
+        pmn_counts=pmn_counts.reshape(2, 2),
+        window_counts=window_counts.reshape(n_modes, 2),
+        detector_clicks=detector_clicks,
+        coincidence_windows=coincidence_windows,
     )
 
 
@@ -420,7 +399,6 @@ class _HeraldComposition:
     q_post: float            # P(mode excited), unconditioned
     window_probs: np.ndarray  # (N,) distribution of the heralded window index
     herald_prob: float       # P(any window clicks) per train
-    no_click: float          # per-window no-click probability
 
 
 def _herald_composition(params: LinkParams) -> _HeraldComposition:
@@ -447,7 +425,6 @@ def _herald_composition(params: LinkParams) -> _HeraldComposition:
         q_post=1.0 - probs[0],
         window_probs=w / w.sum(),
         herald_prob=1.0 - no_click ** params.mode_count,
-        no_click=no_click,
     )
 
 

@@ -6,15 +6,12 @@ is deterministic in (counts, generator state).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, EstimatorError, ParameterError
 from .link_physics import PmnTable
 
 __all__ = [
-    "ConcurrenceResult",
     "concurrence",
     "visibility",
     "intrinsic_efficiency",
@@ -25,26 +22,17 @@ __all__ = [
 BOOTSTRAP_REPLICATES = 400
 
 
-@dataclass(frozen=True)
-class ConcurrenceResult:
-    """Concurrence estimate, its coherence term and its bootstrap error."""
-
-    concurrence: float
-    coherence: float            # d = V (p01 + p10) / 2
-    stderr: float | None = None
-
-
 def _concurrence_terms(p00, p01, p10, p11, visibility):
-    """(d, 2|d| - 2 sqrt(p00 p11)) with d = V (p01 + p10) / 2, elementwise.
+    """2|d| - 2 sqrt(p00 p11) with d = V (p01 + p10) / 2, elementwise.
 
-    The second term is the concurrence before normalization by the table
-    total; it broadcasts over arrays of cells and visibilities.
+    This is the concurrence before normalization by the table total; it
+    broadcasts over arrays of cells and visibilities.
     """
     d = visibility * (p01 + p10) / 2.0
-    return d, 2.0 * np.abs(d) - 2.0 * np.sqrt(p00 * p11)
+    return 2.0 * np.abs(d) - 2.0 * np.sqrt(p00 * p11)
 
 
-def concurrence(pmn: PmnTable, visibility: float) -> ConcurrenceResult:
+def concurrence(pmn: PmnTable, visibility: float) -> float:
     """Concurrence of the heralded two-mode state from its Pmn table.
 
     C = max(0, (2|d| - 2 sqrt(p00 p11)) / P) with d = V (p01 + p10) / 2 and
@@ -56,12 +44,8 @@ def concurrence(pmn: PmnTable, visibility: float) -> ConcurrenceResult:
     total = pmn.total
     if total == 0.0:
         raise EstimatorError("concurrence is undefined: all four Pmn cells are zero")
-    d, unnormalized = _concurrence_terms(*pmn.as_tuple(), visibility)
-    value = float(unnormalized) / total
-    return ConcurrenceResult(
-        concurrence=min(max(0.0, value), 1.0),
-        coherence=d,
-    )
+    value = float(_concurrence_terms(*pmn.as_tuple(), visibility)) / total
+    return min(max(0.0, value), 1.0)
 
 
 def bootstrap_concurrence_stderr(pmn_counts, visibility: float, rng: np.random.Generator,
@@ -84,7 +68,7 @@ def bootstrap_concurrence_stderr(pmn_counts, visibility: float, rng: np.random.G
     if visibility_stderr > 0.0:
         vs = np.clip(rng.normal(visibility, visibility_stderr, size=vs.size), 0.0, 1.0)
     # Dirichlet rows sum to 1 only to rounding; they are used as drawn
-    _, values = _concurrence_terms(*resampled.T, vs)
+    values = _concurrence_terms(*resampled.T, vs)
     values = np.maximum(0.0, values)
     return float(values.std(ddof=1))
 

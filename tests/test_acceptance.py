@@ -202,11 +202,11 @@ def test_criterion_7_estimator_identities():
         bounds_ok = scaling_ok = True
         for cells, v, k in zip(raw, vs, scales):
             table = PmnTable(*cells)
-            c = concurrence(table, v).concurrence
+            c = concurrence(table, v)
             if not 0.0 <= c <= 1.0:
                 bounds_ok = False
                 break
-            scaled = concurrence(PmnTable(*(k * cells)), v).concurrence
+            scaled = concurrence(PmnTable(*(k * cells)), v)
             if abs(scaled - c) > 1e-9:
                 scaling_ok = False
                 break
@@ -215,19 +215,19 @@ def test_criterion_7_estimator_identities():
         deltas = rng.uniform(0.0, 0.02, size=(cases, 3))
         for cells, v, d in zip(raw, vs, deltas):
             headroom = 1.0 - cells.sum()
-            base = concurrence(PmnTable(*cells), v).concurrence
+            base = concurrence(PmnTable(*cells), v)
             dv = min(d[0], 1.0 - v)
-            if concurrence(PmnTable(*cells), v + dv).concurrence < base - 1e-12:
+            if concurrence(PmnTable(*cells), v + dv) < base - 1e-12:
                 mono_ok = False
                 break
             bump = min(d[1], headroom)
             worse11 = cells + np.array([0.0, 0.0, 0.0, bump])
-            if concurrence(PmnTable(*worse11), v).concurrence > base + 1e-12:
+            if concurrence(PmnTable(*worse11), v) > base + 1e-12:
                 mono_ok = False
                 break
             bump = min(d[2], headroom)
             worse00 = cells + np.array([bump, 0.0, 0.0, 0.0])
-            if concurrence(PmnTable(*worse00), v).concurrence > base + 1e-12:
+            if concurrence(PmnTable(*worse00), v) > base + 1e-12:
                 mono_ok = False
                 break
 

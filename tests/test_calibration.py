@@ -22,7 +22,7 @@ def test_calibrated_model_hits_its_targets():
         CALIBRATION_TARGETS["single_mode_detection"], rel=1e-9)
     v1 = fringe_visibility(params, 1e-6)[1]
     assert v1 == pytest.approx(CALIBRATION_TARGETS["visibility_1us"], abs=1e-9)
-    c1 = concurrence(expected_pmn(params, 1e-6), v1).concurrence
+    c1 = concurrence(expected_pmn(params, 1e-6), v1)
     assert c1 == pytest.approx(CALIBRATION_TARGETS["concurrence_1us"], abs=1e-9)
     # the long-storage visibility is matched approximately, inside +/- 0.024
     v150 = fringe_visibility(params, 150e-6)[1]

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,21 @@ class TestRate:
         captured = capsys.readouterr()
         assert "rate_hz" not in captured.out
         assert not (out / "rate.json").exists()
+
+
+    @pytest.mark.parametrize("key, bad", [
+        ("max_sim_time_s", "nan"), ("trials", "-5"), ("seed", "-7"),
+    ])
+    def test_out_of_range_sim_value_exits_three(self, tmp_path, capsys, key, bad):
+        config = tmp_path / "bad_sim.ini"
+        text = (CONFIGS / "projection.ini").read_text()
+        lines = [f"{key} = {bad}" if line.startswith(f"{key} ") else line
+                 for line in text.splitlines()]
+        config.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(["rate", "--config", config, "--out-dir", out]) == 3
+        assert "rate_hz" not in capsys.readouterr().out
+        assert not (out / "manifest.json").exists()
 
 
 class TestSimulate:
@@ -190,6 +206,23 @@ class TestLinkExperiment:
             "[experiment]\nstorage_times_us = 1.0\nmode_counts = 1\n"
             "trains = 100\nwindow_budget = 100\n")
         assert run(["link-experiment", "--config", config]) == 4
+
+
+    def test_zero_heralds_at_a_mode_point_exits_four(self, tmp_path, capsys):
+        # the storage point draws 20000 trains and heralds; the N = 1 mode
+        # point draws 10 trains and, at this seed, none of them heralds
+        config = tmp_path / "link.ini"
+        config.write_text(
+            (CONFIGS / "link_calibrated.ini").read_text().split("[sim]")[0]
+            + "[sim]\nseed = 5\n"
+            "[experiment]\nstorage_times_us = 1.0\nmode_counts = 1\n"
+            "trains = 20000\nwindow_budget = 10\n")
+        out = tmp_path / "out"
+        assert run(["link-experiment", "--config", config, "--out-dir", out]) == 4
+        assert "N=1" in capsys.readouterr().err
+        assert (out / "storage_scan.csv").exists()
+        assert not (out / "mode_scan.csv").exists()
+        assert not (out / "manifest.json").exists()
 
 
 class TestFit:
@@ -354,6 +387,26 @@ class TestSweep:
                     "--min", "1e-300", "--max", 1, "--steps", 3,
                     "--fixed-total-km", "1e300", "--out-dir", out]) == 0
         assert (out / "sweep.csv").exists()
+
+
+class TestArgumentTypes:
+    """A non-numeric flag value is reported against the flag, in plain words."""
+
+    @pytest.mark.parametrize("argv, flag, kind", [
+        (["sweep", "--param", "l0", "--min", "abc", "--max", 504], "--min", "a number"),
+        (["sweep", "--param", "l0", "--min", 8, "--max", 504, "--steps", "abc"],
+         "--steps", "an integer"),
+        (["sweep", "--param", "l0", "--min", 8, "--max", 504, "--fixed-total-km", "abc"],
+         "--fixed-total-km", "a number"),
+        (["simulate", "--workers", "abc"], "--workers", "an integer"),
+    ])
+    def test_non_numeric_value_names_the_flag_not_the_parser(self, capsys, argv, flag, kind):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--config", CONFIGS / "projection.ini"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be {kind}, got 'abc'" in err
+        assert re.search(r"(?<![\w])_[a-z]", err) is None
 
 
 class TestUnreadFlags:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from dlczsim.calibration import calibrated_link_params
 from dlczsim.config_io import (
     ExperimentConfig,
     RunConfig,
@@ -116,6 +117,13 @@ class TestRoundTrip:
         link = parse_config(root / "link_calibrated.ini")
         assert link.link is not None
         assert link.link.mode_count == 12
+
+    def test_calibrated_config_is_the_frozen_calibration(self):
+        # the calibration is written down twice: in the shipped config and in
+        # dlczsim.calibration; the two copies must stay equal
+        from pathlib import Path
+        root = Path(__file__).resolve().parents[1] / "configs"
+        assert parse_config(root / "link_calibrated.ini").link == calibrated_link_params()
 
 
 class TestParseErrors:

@@ -318,7 +318,7 @@ class TestClosedFormAgainstSampling:
         for n in range(1, 13):
             params = dataclasses.replace(calibrated, mode_count=n)
             vis = fringe_visibility(params, 1e-6)[1]
-            values.append(concurrence(expected_pmn(params, 1e-6), vis).concurrence)
+            values.append(concurrence(expected_pmn(params, 1e-6), vis))
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_no_crosstalk_concurrence_independent_of_modes(self, clean_link):
@@ -327,7 +327,7 @@ class TestClosedFormAgainstSampling:
         for n in (1, 4, 12):
             params = dataclasses.replace(clean_link, mode_count=n)
             vis = fringe_visibility(params, 1e-6)[1]
-            values.append(concurrence(expected_pmn(params, 1e-6), vis).concurrence)
+            values.append(concurrence(expected_pmn(params, 1e-6), vis))
         assert max(values) - min(values) < 1e-12
 
 

@@ -17,13 +17,11 @@ from dlczsim.streams import substream
 
 class TestConcurrence:
     def test_maximally_entangled_no_vacuum(self):
-        result = concurrence(PmnTable(0.0, 0.5, 0.5, 0.0), 1.0)
-        assert result.concurrence == 1.0
-        assert result.coherence == 0.5
+        assert concurrence(PmnTable(0.0, 0.5, 0.5, 0.0), 1.0) == 1.0
 
     def test_separable_vacuum(self):
         for vis in (0.0, 0.5, 1.0):
-            assert concurrence(PmnTable(1.0, 0.0, 0.0, 0.0), vis).concurrence == 0.0
+            assert concurrence(PmnTable(1.0, 0.0, 0.0, 0.0), vis) == 0.0
 
     def test_zero_table_is_undefined(self):
         with pytest.raises(EstimatorError):
@@ -34,8 +32,8 @@ class TestConcurrence:
             concurrence(PmnTable(0.5, 0.2, 0.2, 0.1), 1.2)
 
     def test_scaling_invariance(self):
-        base = concurrence(PmnTable(0.6, 0.15, 0.15, 0.01), 0.8).concurrence
-        scaled = concurrence(PmnTable(0.3, 0.075, 0.075, 0.005), 0.8).concurrence
+        base = concurrence(PmnTable(0.6, 0.15, 0.15, 0.01), 0.8)
+        scaled = concurrence(PmnTable(0.3, 0.075, 0.075, 0.005), 0.8)
         assert scaled == pytest.approx(base, abs=1e-15)
 
     @given(
@@ -48,17 +46,16 @@ class TestConcurrence:
         if total == 0.0:
             return
         cells = [x / total for x in p]
-        result = concurrence(PmnTable(*cells), vis)
-        assert 0.0 <= result.concurrence <= 1.0
+        assert 0.0 <= concurrence(PmnTable(*cells), vis) <= 1.0
 
     def test_monotone_in_each_argument(self):
         table = PmnTable(0.6, 0.15, 0.15, 0.01)
-        base = concurrence(table, 0.8).concurrence
-        assert concurrence(table, 0.9).concurrence >= base
+        base = concurrence(table, 0.8)
+        assert concurrence(table, 0.9) >= base
         worse_p11 = PmnTable(0.6, 0.15, 0.15, 0.02)
-        assert concurrence(worse_p11, 0.8).concurrence <= base
+        assert concurrence(worse_p11, 0.8) <= base
         worse_p00 = PmnTable(0.69, 0.15, 0.15, 0.01)
-        assert concurrence(worse_p00, 0.8).concurrence <= base
+        assert concurrence(worse_p00, 0.8) <= base
 
 
 class TestBootstrap:
