@@ -53,8 +53,13 @@ BLOCK = 64
 # take any depth.
 MAX_SIM_LEVELS = 20
 
+# Both modes hold per-trial arrays in memory (elementary mode peaks near 10
+# bytes a trial), so 1e9 trials would exhaust memory instead of failing.
+MAX_SIM_TRIALS = 10**8
 
-# check_fields spec of the run budget, shared with config_io.RunConfig
+
+# check_fields spec of the run budget, shared with config_io.RunConfig, and
+# its [sim] keys
 SIM_FIELDS = (
     ("trials", int, ">= 1"),
     ("seed", int, ">= 0"),
@@ -81,6 +86,8 @@ class SimConfig:
             raise ParameterError(f"n_levels ({self.chain.n_levels}) must be <= "
                                  f"{MAX_SIM_LEVELS} to simulate: one trial draws "
                                  f"2**n_levels elementary links")
+        if self.trials > MAX_SIM_TRIALS:
+            raise ParameterError(f"trials ({self.trials}) must be <= {MAX_SIM_TRIALS} to simulate")
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,11 @@ from .config_io import (
     write_csv_atomic,
     write_text_atomic,
 )
-from .errors import ConfigError, DlczSimError, NoHeraldsError, ParameterError, StalledChainError
+from .errors import (RANGES, ConfigError, DlczSimError, NoHeraldsError, ParameterError,
+                     StalledChainError, rule)
 from .experiments import mode_count_scan, storage_time_scan
 from .fitters import Samples, fit_exponential, fit_linear_origin, fit_sinusoid
-from .rate import ChainParams, swap_chain
+from .rate import CHAIN_FIELDS, swap_chain
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -46,9 +47,6 @@ EXIT_NO_CONVERGENCE = 5
 # version of the manifest.json layout
 ARTIFACT_VERSION = "1.0"
 
-# largest `sweep --steps`; the grid is built in memory before any output
-MAX_SWEEP_STEPS = 100_000
-
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="INI configuration file")
@@ -56,41 +54,19 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", type=Path, help="directory for result files")
 
 
-def _number(text: str, cast):
-    """``cast(text)``, or an argparse error that names the expected kind."""
-    try:
-        return cast(text)
-    except ValueError:
-        kind = "an integer" if cast is int else "a number"
-        raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
-
-
-def _positive_int(text: str) -> int:
-    value = _number(text, int)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _sweep_steps(text: str) -> int:
-    value = _number(text, int)
-    if not 2 <= value <= MAX_SWEEP_STEPS:
-        raise argparse.ArgumentTypeError(f"must lie in [2, {MAX_SWEEP_STEPS}], got {value}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = _number(text, float)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
+def _flag(cast, allowed):
+    """argparse type: ``cast`` the text and check it against RANGES[allowed]."""
+    def convert(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
+        lo, hi = RANGES[allowed]
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(f"must be {rule(allowed)}, got {value!r}")
+        return value
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo chain simulation")
     _common_flags(p_sim)
     p_sim.add_argument("--trials", type=int, help="override the config trial count")
-    p_sim.add_argument("--workers", type=_positive_int, default=1,
+    p_sim.add_argument("--workers", type=_flag(int, ">= 1"), default=1,
                        help="accepted for compatibility (>= 1); every trial runs in "
                             "this process, so results are identical for any value")
     p_sim.add_argument("--elementary", action="store_true",
@@ -131,10 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="rate versus one chain parameter")
     _common_flags(p_sweep)
     p_sweep.add_argument("--param", required=True, help="ChainParams field to sweep")
-    p_sweep.add_argument("--min", type=_finite_float, required=True)
-    p_sweep.add_argument("--max", type=_finite_float, required=True)
-    p_sweep.add_argument("--steps", type=_sweep_steps, default=20)
-    p_sweep.add_argument("--fixed-total-km", type=_positive_float, default=None,
+    p_sweep.add_argument("--min", type=_flag(float, None), required=True)
+    p_sweep.add_argument("--max", type=_flag(float, None), required=True)
+    p_sweep.add_argument("--steps", type=_flag(int, "in [2, 100000]"), default=20)
+    p_sweep.add_argument("--fixed-total-km", type=_flag(float, "> 0"), default=None,
                          help="when sweeping l0, keep the end-to-end distance at this "
                               "value by re-deriving n_levels per grid point")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -279,11 +255,11 @@ def cmd_link_experiment(args) -> int:
     storage_points = storage_time_scan(
         config.link, exp.storage_times, exp.trains, config.seed,
         phases=exp.fringe_phases, shots_per_phase=exp.fringe_shots)
-    _emit_scan(run, "storage_scan.csv", storage_points)
-
     mode_points = mode_count_scan(
         config.link, exp.mode_counts, exp.storage_times[0], exp.window_budget,
         config.seed, phases=exp.fringe_phases, shots_per_phase=exp.fringe_shots)
+    # both scans finish before any output, so a scan that raises writes no file
+    _emit_scan(run, "storage_scan.csv", storage_points)
     _emit_scan(run, "mode_scan.csv", mode_points)
     return run.finish(config_as_dict(config), config.seed)
 
@@ -330,16 +306,16 @@ def cmd_sweep(args) -> int:
     config = _load_config(args)
     if config.chain is None:
         raise ConfigError("sweep requires a [chain] section")
-    field_names = {f.name for f in dataclasses.fields(ChainParams)}
-    if args.param not in field_names:
+    casts = {name: cast for name, cast, _ in CHAIN_FIELDS}
+    if args.param not in casts:
         raise ConfigError(f"unknown chain parameter {args.param!r}; choose from "
-                          f"{sorted(field_names)}")
+                          f"{sorted(casts)}")
     if args.max <= args.min:
         raise ConfigError("need --max > --min")
     if args.fixed_total_km is not None and args.param != "l0":
         raise ConfigError("--fixed-total-km only applies to --param l0")
 
-    is_int = args.param in ("n_levels", "mode_count")
+    is_int = casts[args.param] is int
     grid = []
     for i in range(args.steps):
         value = args.min + (args.max - args.min) * i / (args.steps - 1)

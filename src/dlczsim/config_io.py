@@ -1,9 +1,10 @@
 """Configuration files and deterministic result writers.
 
-Configs are INI text with one section per subsystem and explicit units in the
-key names (l0_km, tau0_s, ...) so a value can never be mis-read in the wrong
-unit. Result files are written atomically (temp file + rename) with every
-float serialized at 9 significant digits, which makes reruns byte-comparable.
+Configs are INI text with one section per parameter class. Each key is a
+field of that class's check_fields spec plus its unit suffix (l0_km, tau0_s,
+...), so a value can never be mis-read in the wrong unit. Result files are
+written atomically (temp file + rename) with every float serialized at 9
+significant digits, which makes reruns byte-comparable.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 
 from .chain_sim import SIM_FIELDS, SimConfig
 from .errors import ConfigError, check_fields
-from .link_physics import LinkParams
-from .rate import ChainParams
+from .link_physics import LINK_FIELDS, LinkParams
+from .rate import CHAIN_FIELDS, ChainParams
 
 __all__ = [
     "ExperimentConfig",
@@ -32,6 +33,17 @@ __all__ = [
     "write_text_atomic",
     "write_csv_atomic",
 ]
+
+
+# check_fields spec of ExperimentConfig, also its [experiment] keys
+EXPERIMENT_FIELDS = (
+    ("storage_times_us", (float,), ">= 0"),
+    ("mode_counts", (int,), ">= 1"),
+    ("trains", int, ">= 1"),
+    ("window_budget", int, ">= 1"),
+    ("fringe_phases", int, ">= 4"),     # a sinusoid fit needs 4 phases
+    ("fringe_shots", int, ">= 0"),
+)
 
 
 @dataclass(frozen=True)
@@ -51,14 +63,7 @@ class ExperimentConfig:
     fringe_shots: int = 4000
 
     def __post_init__(self):
-        check_fields(self, (
-            ("storage_times_us", (float,), ">= 0"),
-            ("mode_counts", (int,), ">= 1"),
-            ("trains", int, ">= 1"),
-            ("window_budget", int, ">= 1"),
-            ("fringe_phases", int, ">= 4"),     # a sinusoid fit needs 4 phases
-            ("fringe_shots", int, ">= 0"),
-        ), ConfigError)
+        check_fields(self, EXPERIMENT_FIELDS, ConfigError)
 
     @property
     def storage_times(self) -> tuple[float, ...]:
@@ -86,74 +91,33 @@ class RunConfig:
                          max_sim_time=self.max_sim_time)
 
 
-# (config key, dataclass field, converter); unit suffixes live in the keys only
-_LINK_KEYS = [
-    ("chi", "chi", float),
-    ("mode_count", "mode_count", int),
-    ("pulse_interval_s", "pulse_interval", float),
-    ("train_duration_s", "train_duration", float),
-    ("retrieval_eff_zero", "retrieval_eff_zero", float),
-    ("memory_lifetime_s", "memory_lifetime", float),
-    ("detection_eff", "detection_eff", float),
-    ("eta_td", "eta_td", float),
-    ("visibility_cap", "visibility_cap", float),
-    ("dark_count_prob", "dark_count_prob", float),
-    ("crosstalk_eps", "crosstalk_eps", float),
-    ("phase_s_rad", "phase_s", float),
-    ("phase_as_rad", "phase_as", float),
-]
-
-_CHAIN_KEYS = [
-    ("l0_km", "l0", float),
-    ("l_att_km", "l_att", float),
-    ("n_levels", "n_levels", int),
-    ("fiber_speed_km_s", "fiber_speed", float),
-    ("eta_fc", "eta_fc", float),
-    ("eta_td", "eta_td", float),
-    ("chi", "chi", float),
-    ("mode_count", "mode_count", int),
-    ("r0", "r0", float),
-    ("tau0_s", "tau0", float),
-    ("swap_intrinsic_factor", "swap_intrinsic_factor", float),
-]
-
-_SIM_KEYS = [
-    ("trials", "trials", int),
-    ("seed", "seed", int),
-    ("max_sim_time_s", "max_sim_time", float),
-]
+# Unit suffix of a field's INI key; every other key is the bare field name.
+_UNITS = {
+    "l0": "_km", "l_att": "_km", "fiber_speed": "_km_s",
+    "tau0": "_s", "pulse_interval": "_s", "train_duration": "_s",
+    "memory_lifetime": "_s", "max_sim_time": "_s",
+    "phase_s": "_rad", "phase_as": "_rad",
+}
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.replace(",", " ").split())
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.replace(",", " ").split())
-
-
-_EXPERIMENT_KEYS = [
-    ("storage_times_us", "storage_times_us", _parse_float_list),
-    ("mode_counts", "mode_counts", _parse_int_list),
-    ("trains", "trains", int),
-    ("window_budget", "window_budget", int),
-    ("fringe_phases", "fringe_phases", int),
-    ("fringe_shots", "fringe_shots", int),
-]
-
-
-def _read_section(parser: configparser.ConfigParser, section: str, keys) -> dict:
+def _read_section(parser: configparser.ConfigParser, section: str, spec) -> dict:
+    """The fields of a check_fields spec that ``section`` sets, each cast by
+    its spec; a list field's items are separated by commas or spaces."""
     fields = {}
-    seen = set()
-    for key, fieldname, convert in keys:
-        seen.add(key)
+    keys = set()
+    for name, cast, _ in spec:
+        key = name + _UNITS.get(name, "")
+        keys.add(key)
         if parser.has_option(section, key):
             raw = parser.get(section, key)
             try:
-                fields[fieldname] = convert(raw)
+                if type(cast) is tuple:
+                    fields[name] = tuple(map(cast[0], raw.replace(",", " ").split()))
+                else:
+                    fields[name] = cast(raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-    unknown = set(parser.options(section)) - seen
+    unknown = set(parser.options(section)) - keys
     if unknown:
         raise ConfigError(f"[{section}] has unknown keys: {sorted(unknown)}")
     return fields
@@ -171,13 +135,13 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
     experiment = ExperimentConfig()
     for section in parser.sections():
         if section == "link":
-            link = LinkParams(**_read_section(parser, section, _LINK_KEYS))
+            link = LinkParams(**_read_section(parser, section, LINK_FIELDS))
         elif section == "chain":
-            chain = ChainParams(**_read_section(parser, section, _CHAIN_KEYS))
+            chain = ChainParams(**_read_section(parser, section, CHAIN_FIELDS))
         elif section == "sim":
-            sim_fields = _read_section(parser, section, _SIM_KEYS)
+            sim_fields = _read_section(parser, section, SIM_FIELDS)
         elif section == "experiment":
-            experiment = ExperimentConfig(**_read_section(parser, section, _EXPERIMENT_KEYS))
+            experiment = ExperimentConfig(**_read_section(parser, section, EXPERIMENT_FIELDS))
         else:
             raise ConfigError(f"{source}: unknown section [{section}]")
     return RunConfig(link=link, chain=chain, experiment=experiment, **sim_fields)

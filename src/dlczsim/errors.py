@@ -60,7 +60,14 @@ RANGES = {
     ">= 0": (_BELOW_ZERO, math.inf),
     ">= 1": (math.nextafter(1.0, 0.0), math.inf),
     ">= 4": (math.nextafter(4.0, 0.0), math.inf),
+    # `sweep --steps`: the grid is built in memory before any output
+    "in [2, 100000]": (math.nextafter(2.0, 0.0), math.nextafter(100000.0, math.inf)),
 }
+
+
+def rule(allowed) -> str:
+    """What a value must be to lie in RANGES[allowed], as messages print it."""
+    return "finite" if allowed is None else f"finite and {allowed}"
 
 
 def check_fields(obj, spec, error=ParameterError) -> None:
@@ -84,10 +91,10 @@ def check_fields(obj, spec, error=ParameterError) -> None:
         except (TypeError, ValueError, OverflowError) as exc:
             raise error(f"{name}: {exc}") from exc
         if not ok:
-            rule = "finite" if allowed is None else f"finite and {allowed}"
+            must = rule(allowed)
             if type(cast) is tuple:
-                rule = f"a non-empty list of values each {rule}"
-            raise error(f"{name} must be {rule}, got {value!r}")
+                must = f"a non-empty list of values each {must}"
+            raise error(f"{name} must be {must}, got {value!r}")
         if value is not raw:
             object.__setattr__(obj, name, value)
 

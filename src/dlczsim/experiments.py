@@ -29,9 +29,6 @@ __all__ = [
     "mode_count_scan",
 ]
 
-DEFAULT_PHASES = 12
-DEFAULT_SHOTS_PER_PHASE = 4000
-
 
 @dataclass(frozen=True)
 class StorageTimePoint:
@@ -73,8 +70,7 @@ class ModeCountPoint:
 
 
 def fringe_counts(params: LinkParams, storage_time: float, rng: np.random.Generator,
-                  phases: int = DEFAULT_PHASES,
-                  shots_per_phase: int = DEFAULT_SHOTS_PER_PHASE) -> Samples:
+                  phases: int, shots_per_phase: int) -> Samples:
     """Poisson-sampled coincidence counts across one fringe period.
 
     Each phase point accumulates ``shots_per_phase`` heralded readouts; the
@@ -89,9 +85,7 @@ def fringe_counts(params: LinkParams, storage_time: float, rng: np.random.Genera
 
 
 def measure_visibility(params: LinkParams, storage_time: float, rng: np.random.Generator,
-                       phases: int = DEFAULT_PHASES,
-                       shots_per_phase: int = DEFAULT_SHOTS_PER_PHASE,
-                       ) -> tuple[float, float, FitResult]:
+                       phases: int, shots_per_phase: int) -> tuple[float, float, FitResult]:
     """Measure the fringe visibility from sampled counts.
 
     The visibility comes from the fitted sinusoid's extrema, which shot noise
@@ -120,9 +114,7 @@ def _point(params: LinkParams, storage_time: float, trains: int, seed_root: int,
 
 
 def storage_time_scan(params: LinkParams, storage_times, trains: int, seed: int,
-                      phases: int = DEFAULT_PHASES,
-                      shots_per_phase: int = DEFAULT_SHOTS_PER_PHASE,
-                      ) -> list[StorageTimePoint]:
+                      phases: int, shots_per_phase: int) -> list[StorageTimePoint]:
     """Run the full pipeline at each storage time. ``trains`` applies per point."""
     points = []
     for index, t in enumerate(storage_times):
@@ -142,10 +134,8 @@ def storage_time_scan(params: LinkParams, storage_times, trains: int, seed: int,
 
 
 def mode_count_scan(params: LinkParams, mode_counts, storage_time: float,
-                    window_budget: int, seed: int,
-                    phases: int = DEFAULT_PHASES,
-                    shots_per_phase: int = DEFAULT_SHOTS_PER_PHASE,
-                    ) -> list[ModeCountPoint]:
+                    window_budget: int, seed: int, phases: int,
+                    shots_per_phase: int) -> list[ModeCountPoint]:
     """Scan the number of multiplexed modes at a fixed storage time.
 
     ``window_budget`` is the total number of (train x window) slots sampled at

@@ -52,6 +52,24 @@ __all__ = [
 MAX_EXCITATION = 2
 
 
+# check_fields spec of LinkParams, also the [link] keys config_io reads
+LINK_FIELDS = (
+    ("chi", float, "in [0, 1)"),    # chi = 1 has no normalizable thermal law
+    ("mode_count", int, ">= 1"),
+    ("pulse_interval", float, "> 0"),
+    ("train_duration", float, "> 0"),
+    ("retrieval_eff_zero", float, "in [0, 1]"),
+    ("memory_lifetime", float, "> 0"),
+    ("detection_eff", float, "in [0, 1]"),
+    ("eta_td", float, "in [0, 1]"),
+    ("visibility_cap", float, "in [0, 1]"),
+    ("dark_count_prob", float, "in [0, 1]"),
+    ("crosstalk_eps", float, "in [0, 1]"),
+    ("phase_s", float, None),
+    ("phase_as", float, None),
+)
+
+
 @dataclass(frozen=True)
 class LinkParams:
     """Physical constants of one elementary link.
@@ -88,22 +106,7 @@ class LinkParams:
     phase_as: float = 0.0
 
     def __post_init__(self):
-        check_fields(self, (
-            # chi = 1 has no normalizable thermal law
-            ("chi", float, "in [0, 1)"),
-            ("mode_count", int, ">= 1"),
-            ("pulse_interval", float, "> 0"),
-            ("train_duration", float, "> 0"),
-            ("retrieval_eff_zero", float, "in [0, 1]"),
-            ("memory_lifetime", float, "> 0"),
-            ("detection_eff", float, "in [0, 1]"),
-            ("eta_td", float, "in [0, 1]"),
-            ("visibility_cap", float, "in [0, 1]"),
-            ("dark_count_prob", float, "in [0, 1]"),
-            ("crosstalk_eps", float, "in [0, 1]"),
-            ("phase_s", float, None),
-            ("phase_as", float, None),
-        ))
+        check_fields(self, LINK_FIELDS)
         if self.pulse_interval * (self.mode_count - 1) > self.train_duration:
             raise ParameterError(
                 f"{self.mode_count} pulses at {self.pulse_interval} s spacing do not fit "

@@ -18,6 +18,23 @@ from .errors import ParameterError, StalledChainError, check_fields
 __all__ = ["ChainParams", "ChainReport", "elementary_p0", "multiplexed_success", "swap_chain"]
 
 
+# check_fields spec of ChainParams, also the [chain] keys config_io reads and
+# the parameters `sweep` may vary
+CHAIN_FIELDS = (
+    ("l0", float, "> 0"),
+    ("l_att", float, "> 0"),
+    ("n_levels", int, ">= 0"),
+    ("fiber_speed", float, "> 0"),
+    ("eta_fc", float, "in [0, 1]"),
+    ("eta_td", float, "in [0, 1]"),
+    ("chi", float, "in [0, 1]"),
+    ("mode_count", int, ">= 1"),
+    ("r0", float, "in [0, 1]"),
+    ("tau0", float, "> 0"),
+    ("swap_intrinsic_factor", float, "in [0, 1]"),
+)
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Topology and efficiency constants of one repeater chain.
@@ -50,19 +67,7 @@ class ChainParams:
     swap_intrinsic_factor: float = 1.0
 
     def __post_init__(self):
-        check_fields(self, (
-            ("l0", float, "> 0"),
-            ("l_att", float, "> 0"),
-            ("n_levels", int, ">= 0"),
-            ("fiber_speed", float, "> 0"),
-            ("eta_fc", float, "in [0, 1]"),
-            ("eta_td", float, "in [0, 1]"),
-            ("chi", float, "in [0, 1]"),
-            ("mode_count", int, ">= 1"),
-            ("r0", float, "in [0, 1]"),
-            ("tau0", float, "> 0"),
-            ("swap_intrinsic_factor", float, "in [0, 1]"),
-        ))
+        check_fields(self, CHAIN_FIELDS)
         if not 0.0 < self.t_cc < math.inf:
             raise ParameterError(
                 f"T_cc = l0/fiber_speed = {self.t_cc!r} s is not a positive finite time")

@@ -141,10 +141,10 @@ def test_criterion_5_crosstalk_monotonicity():
         t = 1e-6
         budget = 6_000_000
         with_xt = mode_count_scan(calibrated_link_params(), range(1, 13), t,
-                                  budget, SEED + 5, shots_per_phase=20_000)
+                                  budget, SEED + 5, phases=12, shots_per_phase=20_000)
         without = mode_count_scan(calibrated_link_params(crosstalk_eps=0.0),
                                   range(1, 13), t, budget, SEED + 50,
-                                  shots_per_phase=20_000)
+                                  phases=12, shots_per_phase=20_000)
 
         def step_sigma(a, b):
             return math.sqrt(a.concurrence_stderr ** 2 + b.concurrence_stderr ** 2)

@@ -132,11 +132,13 @@ class TestSimulate:
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("workers", [0, -5])
-    def test_non_positive_workers_exits_two(self, tmp_path, workers):
+    def test_non_positive_workers_exits_two(self, tmp_path, capsys, workers):
         config = write_chain_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
             run(["simulate", "--config", config, "--workers", workers])
         assert exc.value.code == 2
+        assert (f"argument --workers: must be finite and >= 1, got {workers}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("n_levels", [21, 64])
     def test_too_deep_chain_exits_three_before_any_trial(
@@ -147,6 +149,19 @@ class TestSimulate:
         assert run(["simulate", "--config", config]) == 3
         assert started == []
         assert "n_levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--elementary"]])
+    def test_too_many_trials_exits_three_before_any_trial(
+            self, tmp_path, monkeypatch, capsys, mode):
+        config = write_chain_config(tmp_path)
+        started = []
+        monkeypatch.setattr(cli, "simulate_chain", lambda *a, **k: started.append(a))
+        monkeypatch.setattr(cli, "simulate_elementary_link",
+                            lambda *a, **k: started.append(a))
+        assert run(["simulate", "--config", config, *mode,
+                    "--trials", 1_000_000_000_000]) == 3
+        assert started == []
+        assert "trials" in capsys.readouterr().err
 
     def test_timeout_dominated_run_exits_four(self, tmp_path):
         config = write_chain_config(tmp_path, chi=1e-5)
@@ -220,7 +235,7 @@ class TestLinkExperiment:
         out = tmp_path / "out"
         assert run(["link-experiment", "--config", config, "--out-dir", out]) == 4
         assert "N=1" in capsys.readouterr().err
-        assert (out / "storage_scan.csv").exists()
+        assert not (out / "storage_scan.csv").exists()
         assert not (out / "mode_scan.csv").exists()
         assert not (out / "manifest.json").exists()
 

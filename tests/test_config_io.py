@@ -135,9 +135,15 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match=r"\[chain\] has unknown keys"):
             parse_config_text("[chain]\nbogus = 3\n")
 
-    def test_bad_value_names_section_and_key(self):
-        with pytest.raises(ConfigError, match=r"\[chain\] l0_km"):
-            parse_config_text("[chain]\nl0_km = sixty\n")
+    @pytest.mark.parametrize("text, where", [
+        ("[chain]\nl0_km = sixty\n", r"\[chain\] l0_km"),
+        ("[experiment]\nmode_counts = 1, x\n", r"\[experiment\] mode_counts"),
+        ("[experiment]\nstorage_times_us = 1.0, abc\n", r"\[experiment\] storage_times_us"),
+        ("[link]\nchi = 0.01\nmode_count = 12.5\n", r"\[link\] mode_count"),
+    ])
+    def test_bad_value_names_section_and_key(self, text, where):
+        with pytest.raises(ConfigError, match=where):
+            parse_config_text(text)
 
     def test_malformed_ini_reports_source(self):
         with pytest.raises(ConfigError, match="broken.ini"):

@@ -16,14 +16,16 @@ from dlczsim.streams import substream
 class TestMeasureVisibility:
     def test_fitted_visibility_tracks_closed_form(self, calibrated):
         vis, stderr, fit = measure_visibility(calibrated, 1e-6, substream(1, 0),
-                                              shots_per_phase=40_000)
+                                              phases=12, shots_per_phase=40_000)
         assert fit is not None and fit.converged
         truth = fringe_visibility(calibrated, 1e-6)[1]
         assert abs(vis - truth) < 4 * stderr
 
     def test_deterministic_per_seed(self, calibrated):
-        a = measure_visibility(calibrated, 1e-6, substream(3, 0))
-        b = measure_visibility(calibrated, 1e-6, substream(3, 0))
+        a = measure_visibility(calibrated, 1e-6, substream(3, 0),
+                               phases=12, shots_per_phase=4000)
+        b = measure_visibility(calibrated, 1e-6, substream(3, 0),
+                               phases=12, shots_per_phase=4000)
         assert a[0] == b[0] and a[1] == b[1]
 
 
@@ -40,14 +42,14 @@ class TestFringeCounts:
 class TestScans:
     def test_storage_scan_emits_requested_points(self, calibrated):
         points = storage_time_scan(calibrated, [1e-6, 50e-6], trains=150_000,
-                                   seed=7, shots_per_phase=5_000)
+                                   seed=7, phases=12, shots_per_phase=5_000)
         assert [p.storage_time for p in points] == [1e-6, 50e-6]
         assert all(p.heralded > 0 for p in points)
         assert points[0].efficiency > points[1].efficiency
 
     def test_mode_scan_detection_probability_grows_linearly(self, clean_link):
         points = mode_count_scan(clean_link, [1, 6, 12], 1e-6, 1_200_000, seed=8,
-                                 shots_per_phase=5_000)
+                                 phases=12, shots_per_phase=5_000)
         p1, p6, p12 = [p.detection_probability for p in points]
         s1, s6, s12 = [p.detection_stderr for p in points]
         assert abs(p6 - 6 * p1) < 3 * math.hypot(s6, 6 * s1)
