@@ -224,9 +224,9 @@ def simulate_chain(config: SimConfig) -> ChainTrace:
     run of k trials delivers the first k delivery times of any longer run.
     """
     chain = config.chain
-    p_gen = multiplexed_success(elementary_p0(chain), chain.mode_count)
-    if p_gen == 0.0:
-        raise StalledChainError(0, "chain can never start: P0 = 0")
+    # a chain the recursion calls stalled raises here, before any trial
+    report = swap_chain(chain)
+    p_gen = report.p0_multiplexed
     max_ticks = int(config.max_sim_time / chain.t_cc)
 
     results = [_trial(chain, p_gen, max_ticks, config.seed, i) for i in range(config.trials)]
@@ -254,7 +254,7 @@ def simulate_chain(config: SimConfig) -> ChainTrace:
         readout_successes=len(delivery_ticks),
         empirical_rate=rate,
         rate_stderr=stderr,
-        analytic_rate=swap_chain(chain).rate_hz,
+        analytic_rate=report.rate_hz,
         histogram_counts=counts,
         histogram_edges=edges,
     )

@@ -47,6 +47,10 @@ EXIT_NO_CONVERGENCE = 5
 # version of the manifest.json layout
 ARTIFACT_VERSION = "1.0"
 
+# Link slots (train x mode x node) one link-experiment may draw: about 3 min
+# at the ~1.7 ns a slot of a 2-core Xeon, where the shipped config draws 2.6e8.
+MAX_LINK_SLOTS = 10**11
+
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="INI configuration file")
@@ -172,31 +176,33 @@ def cmd_rate(args) -> int:
     except StalledChainError as exc:
         print(f"warning: {exc}", file=sys.stderr)
         print("rate_hz 0")
-        run.emit("rate.json", write_text_atomic,
-                 canonical_json({"rate_hz": 0.0, "stalled_level": exc.level}))
-        return run.finish(config_as_dict(config), config.seed)
-    for level, t_i in enumerate(report.level_time, start=1):
-        if not math.isfinite(t_i):
-            # the rate is then 0, but no result file can hold an infinite time
-            raise ParameterError(f"the level-{level} mean time t_{level} overflows")
+        result = {"rate_hz": 0.0, "stalled_level": exc.level}
+        rows, trailers = [], ("rate_hz 0", f"stalled_level {exc.level}")
+    else:
+        for level, t_i in enumerate(report.level_time, start=1):
+            if not math.isfinite(t_i):
+                # the rate is then 0, but no result file can hold an infinite time
+                raise ParameterError(f"the level-{level} mean time t_{level} overflows")
 
-    print(f"T_cc_s          {format_float(report.t_cc)}")
-    print(f"P0              {format_float(report.p0)}")
-    print(f"P0_multiplexed  {format_float(report.p0_multiplexed)}"
-          f"   (linear N*P0 {format_float(report.p0_linear)})")
-    print(f"t0_s            {format_float(report.t0)}")
-    for i, (p_i, t_i) in enumerate(zip(report.level_success, report.level_time), start=1):
-        print(f"level {i}:  P={format_float(p_i)}  t_s={format_float(t_i)}")
-    print(f"P_pr            {format_float(report.p_pr)}")
-    print(f"rate_hz         {format_float(report.rate_hz)}")
-
-    if args.format == "csv":
+        print(f"T_cc_s          {format_float(report.t_cc)}")
+        print(f"P0              {format_float(report.p0)}")
+        print(f"P0_multiplexed  {format_float(report.p0_multiplexed)}"
+              f"   (linear N*P0 {format_float(report.p0_linear)})")
+        print(f"t0_s            {format_float(report.t0)}")
+        for i, (p_i, t_i) in enumerate(zip(report.level_success, report.level_time), start=1):
+            print(f"level {i}:  P={format_float(p_i)}  t_s={format_float(t_i)}")
+        print(f"P_pr            {format_float(report.p_pr)}")
+        print(f"rate_hz         {format_float(report.rate_hz)}")
+        result = report.to_dict()
         rows = [(i, p, t) for i, (p, t) in
                 enumerate(zip(report.level_success, report.level_time), start=1)]
+        trailers = (f"rate_hz {format_float(report.rate_hz)}",)
+
+    if args.format == "csv":
         run.emit("rate.csv", write_csv_atomic, ("level", "p_i", "t_i_s"), rows,
-                 trailer_comments=(f"rate_hz {format_float(report.rate_hz)}",))
+                 trailer_comments=trailers)
     else:
-        run.emit("rate.json", write_text_atomic, canonical_json(report.to_dict()))
+        run.emit("rate.json", write_text_atomic, canonical_json(result))
     return run.finish(config_as_dict(config), config.seed)
 
 
@@ -251,6 +257,11 @@ def cmd_link_experiment(args) -> int:
     if config.link is None:
         raise ConfigError("link-experiment requires a [link] section")
     exp = config.experiment
+    slots = (2 * config.link.mode_count * exp.trains * len(exp.storage_times_us)
+             + sum(2 * n * max(1, exp.window_budget // n) for n in exp.mode_counts))
+    if slots > MAX_LINK_SLOTS:
+        raise ParameterError(f"the scans would draw {slots} link slots, more than "
+                             f"{MAX_LINK_SLOTS}: lower trains or window_budget")
 
     storage_points = storage_time_scan(
         config.link, exp.storage_times, exp.trains, config.seed,

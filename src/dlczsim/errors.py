@@ -12,14 +12,6 @@ class ParameterError(DlczSimError, ValueError):
     """A parameter is outside its physical or mathematical domain."""
 
 
-class ContractError(DlczSimError, ValueError):
-    """An operation was called in a state its contract forbids."""
-
-
-class EstimatorError(DlczSimError, ZeroDivisionError):
-    """An estimator is undefined for the given counts (zero denominator)."""
-
-
 class StalledChainError(DlczSimError, RuntimeError):
     """A repeater chain cannot make progress (some success probability is zero).
 
@@ -35,14 +27,6 @@ class NoHeraldsError(DlczSimError, RuntimeError):
     """A sampling run collected zero heralded trials."""
 
 
-class RankDeficiencyError(DlczSimError, ValueError):
-    """The fit design matrix is rank deficient (degenerate data)."""
-
-
-class IllConditionedError(DlczSimError, ValueError):
-    """The fit is ill conditioned (e.g. insufficient phase coverage)."""
-
-
 class ConfigError(DlczSimError, ValueError):
     """A configuration file failed to parse or is missing required fields."""
 
@@ -56,6 +40,7 @@ RANGES = {
     None: (-math.inf, math.inf),
     "in [0, 1]": (_BELOW_ZERO, math.nextafter(1.0, 2.0)),
     "in [0, 1)": (_BELOW_ZERO, 1.0),
+    "in (0, 1]": (0.0, math.nextafter(1.0, 2.0)),
     "> 0": (0.0, math.inf),
     ">= 0": (_BELOW_ZERO, math.inf),
     ">= 1": (math.nextafter(1.0, 0.0), math.inf),

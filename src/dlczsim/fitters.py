@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IllConditionedError, ParameterError, RankDeficiencyError
+from .errors import ConfigError, ParameterError
 
 __all__ = ["Samples", "FitResult", "fit_exponential", "fit_linear_origin", "fit_sinusoid"]
 
@@ -110,7 +110,7 @@ def _covariance(jacobian: np.ndarray, weight: np.ndarray, rss: float) -> np.ndar
     try:
         cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(f"singular normal equations: {exc}") from exc
+        raise ParameterError(f"singular normal equations: {exc}") from exc
     scale = rss / (m - p) if m > p else 0.0
     return cov * scale
 
@@ -131,7 +131,7 @@ def _levenberg_marquardt(model, jacobian, x0, samples: Samples):
         try:
             step = np.linalg.solve(jtj + damping * np.diag(np.diag(jtj)), grad)
         except np.linalg.LinAlgError as exc:
-            raise RankDeficiencyError(f"singular step equations: {exc}") from exc
+            raise ParameterError(f"singular step equations: {exc}") from exc
         candidate = x + step
         cand_residual = samples.y - model(candidate)
         cand_rss = float(w @ cand_residual ** 2)
@@ -158,13 +158,13 @@ def fit_exponential(samples: Samples) -> FitResult:
     if (samples.y <= 0).any():
         raise ParameterError("exponential fit requires y > 0 for log seeding")
     if np.ptp(samples.x) == 0.0:
-        raise RankDeficiencyError("all x values are equal; tau0 is unidentifiable")
+        raise ParameterError("all x values are equal; tau0 is unidentifiable")
 
     # log-linear seed: ln y = ln r0 - x / tau0
     coeffs = np.polyfit(samples.x, np.log(samples.y), 1, w=np.sqrt(samples.weight) * samples.y)
     slope, intercept = float(coeffs[0]), float(coeffs[1])
     if abs(slope) * np.ptp(samples.x) < 1e-9 * (1.0 + abs(intercept)):
-        raise RankDeficiencyError("data are constant in x; tau0 -> infinity is unidentifiable")
+        raise ParameterError("data are constant in x; tau0 -> infinity is unidentifiable")
     seed = np.array([math.exp(intercept), -1.0 / slope])
 
     def model(p):
@@ -191,7 +191,7 @@ def fit_linear_origin(samples: Samples) -> FitResult:
     w, x, y = samples.weight, samples.x, samples.y
     sxx = float(w @ (x * x))
     if sxx == 0.0:
-        raise RankDeficiencyError("all x values are 0; the slope is unidentifiable")
+        raise ParameterError("all x values are 0; the slope is unidentifiable")
     slope = float(w @ (x * y)) / sxx
     residual = y - slope * x
     rss = float(w @ residual ** 2)
@@ -217,14 +217,14 @@ def fit_sinusoid(samples: Samples) -> FitResult:
     if samples.x.size < 4:
         raise ParameterError("sinusoid fit needs at least 4 points")
     if np.ptp(samples.x) <= math.pi:
-        raise IllConditionedError(
+        raise ParameterError(
             f"phase coverage {np.ptp(samples.x):.3f} rad spans no more than half a period")
 
     design = np.column_stack([np.ones_like(samples.x), np.cos(samples.x), np.sin(samples.x)])
     sw = np.sqrt(samples.weight)
     scaled = design * sw[:, None]
     if np.linalg.cond(scaled) > 1e10:
-        raise IllConditionedError("phase sampling leaves the fringe parameters degenerate")
+        raise ParameterError("phase sampling leaves the fringe parameters degenerate")
     coeff, *_ = np.linalg.lstsq(scaled, samples.y * sw, rcond=None)
     c0, c1, c2 = (float(c) for c in coeff)
 

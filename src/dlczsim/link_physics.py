@@ -60,7 +60,7 @@ LINK_FIELDS = (
     ("train_duration", float, "> 0"),
     ("retrieval_eff_zero", float, "in [0, 1]"),
     ("memory_lifetime", float, "> 0"),
-    ("detection_eff", float, "in [0, 1]"),
+    ("detection_eff", float, "in (0, 1]"),   # intrinsic_efficiency divides by it
     ("eta_td", float, "in [0, 1]"),
     ("visibility_cap", float, "in [0, 1]"),
     ("dark_count_prob", float, "in [0, 1]"),
@@ -133,10 +133,6 @@ class LinkParams:
         return (self.retrieval_eff_zero
                 * float(np.exp(-storage_time / self.memory_lifetime))
                 * self.detection_eff)
-
-    @property
-    def fringe_offset(self) -> float:
-        return self.phase_s + self.phase_as
 
 
 @dataclass(frozen=True)
@@ -521,7 +517,7 @@ def fringe_visibility(params: LinkParams, storage_time: float) -> tuple[float, f
     coherent = w_coherent * p_ret / 2.0
     amplitude = coherent + incoherent * p_ret / 2.0 + background
     v_eff = 0.0 if amplitude == 0.0 else params.visibility_cap * coherent / amplitude
-    return amplitude, v_eff, params.fringe_offset
+    return amplitude, v_eff, params.phase_s + params.phase_as
 
 
 def fringe_expectation(theta, storage_time: float, params: LinkParams):

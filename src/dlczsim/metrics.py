@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, EstimatorError, ParameterError
+from .errors import ParameterError
 from .link_physics import PmnTable
 
 __all__ = [
@@ -43,7 +43,7 @@ def concurrence(pmn: PmnTable, visibility: float) -> float:
         raise ParameterError(f"visibility must lie in [0, 1], got {visibility!r}")
     total = pmn.total
     if total == 0.0:
-        raise EstimatorError("concurrence is undefined: all four Pmn cells are zero")
+        raise ParameterError("concurrence is undefined: all four Pmn cells are zero")
     value = float(_concurrence_terms(*pmn.as_tuple(), visibility)) / total
     return min(max(0.0, value), 1.0)
 
@@ -62,7 +62,7 @@ def bootstrap_concurrence_stderr(pmn_counts, visibility: float, rng: np.random.G
     """
     counts = np.asarray(pmn_counts, dtype=np.int64).reshape(4)
     if counts.sum() <= 0:
-        raise EstimatorError("bootstrap needs at least one heralded trial")
+        raise ParameterError("bootstrap needs at least one heralded trial")
     resampled = rng.dirichlet(counts + 0.5, size=BOOTSTRAP_REPLICATES)
     vs = np.full(BOOTSTRAP_REPLICATES, visibility)
     if visibility_stderr > 0.0:
@@ -78,9 +78,9 @@ def visibility(max_counts: float, min_counts: float) -> float:
     if max_counts < 0 or min_counts < 0:
         raise ParameterError("counts must be non-negative")
     if max_counts == 0:
-        raise EstimatorError("visibility is undefined for max_counts = 0")
+        raise ParameterError("visibility is undefined for max_counts = 0")
     if max_counts < min_counts:
-        raise ContractError(
+        raise ParameterError(
             f"max_counts ({max_counts}) must be >= min_counts ({min_counts})")
     return (max_counts - min_counts) / (max_counts + min_counts)
 
@@ -94,5 +94,5 @@ def intrinsic_efficiency(pmn: PmnTable, eta_d: float) -> float:
     if not 0.0 < eta_d <= 1.0:
         raise ParameterError(f"eta_d must lie in (0, 1], got {eta_d!r}")
     if pmn.total == 0.0:
-        raise EstimatorError("intrinsic efficiency is undefined: all four Pmn cells are zero")
+        raise ParameterError("intrinsic efficiency is undefined: all four Pmn cells are zero")
     return (pmn.p01 + pmn.p10) / eta_d

@@ -11,7 +11,7 @@ Monte Carlo counterpart in `chain_sim` quantifies how optimistic that is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParameterError, StalledChainError, check_fields
 
@@ -77,10 +77,6 @@ class ChainParams:
         """Communication interval L0/c, seconds."""
         return self.l0 / self.fiber_speed
 
-    @property
-    def total_distance(self) -> float:
-        return 2 ** self.n_levels * self.l0
-
 
 @dataclass(frozen=True)
 class ChainReport:
@@ -91,10 +87,10 @@ class ChainReport:
     p0_linear: float              # N * p0, the small-probability approximation
     t_cc: float
     t0: float
-    level_success: list[float] = field(default_factory=list)   # P_i, i = 1..n
-    level_time: list[float] = field(default_factory=list)      # t_i, i = 1..n
-    p_pr: float = 0.0
-    rate_hz: float = 0.0
+    level_success: list[float]    # P_i, i = 1..n
+    level_time: list[float]       # t_i, i = 1..n
+    p_pr: float
+    rate_hz: float
 
     def to_dict(self) -> dict:
         return {

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from dlczsim import chain_sim
 from dlczsim.chain_sim import SimConfig, _trial, simulate_chain, simulate_elementary_link
 from dlczsim.errors import ParameterError, StalledChainError
 from dlczsim.rate import ChainParams, elementary_p0, multiplexed_success, swap_chain
@@ -152,6 +153,17 @@ class TestChain:
         with pytest.raises(StalledChainError):
             simulate_chain(SimConfig(chain=dataclasses.replace(PROJECTION, chi=0.0),
                                      trials=10, seed=9))
+
+    def test_chain_the_recursion_calls_stalled_runs_no_trial(self, monkeypatch):
+        # P_5 underflows to 0 in the recursion; a trial would rebuild its
+        # 1024 links until max_sim_time
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(chain_sim, "_trial", no_trial)
+        chain = dataclasses.replace(PROJECTION, n_levels=10, swap_intrinsic_factor=0.05)
+        with pytest.raises(StalledChainError) as exc:
+            simulate_chain(SimConfig(chain=chain, trials=1000, seed=9))
+        assert exc.value.level == 5
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dlczsim import cli, experiments
+from dlczsim import chain_sim, cli, experiments
 from dlczsim.fitters import FitResult
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -163,6 +163,19 @@ class TestSimulate:
         assert started == []
         assert "trials" in capsys.readouterr().err
 
+    def test_chain_rate_calls_stalled_exits_three_before_any_trial(
+            self, tmp_path, monkeypatch, capsys):
+        config = write_chain_config(tmp_path, n_levels=10, swap_intrinsic_factor=0.05)
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(chain_sim, "_trial", no_trial)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--trials", 1, "--out-dir", out]) == 3
+        assert "stalled" in capsys.readouterr().err
+        assert not (out / "trace.json").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_timeout_dominated_run_exits_four(self, tmp_path):
         config = write_chain_config(tmp_path, chi=1e-5)
         body = config.read_text().replace("max_sim_time_s = 3600.0", "max_sim_time_s = 0.05")
@@ -204,6 +217,30 @@ class TestLinkExperiment:
         started = []
         monkeypatch.setattr(experiments, "run_link_trials", lambda *a, **k: started.append(a))
         assert run(["link-experiment", "--config", config]) == 2
+        assert started == []
+
+    def test_slot_budget_over_the_cap_exits_three_before_any_scan(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        config = tmp_path / "link.ini"
+        config.write_text((CONFIGS / "link_calibrated.ini").read_text()
+                          .replace("trains = 1500000", "trains = 1000000000000"))
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a scan ran")
+        monkeypatch.setattr(cli, "storage_time_scan", no_scan)
+        monkeypatch.setattr(cli, "mode_count_scan", no_scan)
+        out = tmp_path / "out"
+        assert run(["link-experiment", "--config", config, "--out-dir", out]) == 3
+        assert f"more than {cli.MAX_LINK_SLOTS}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_detection_efficiency_exits_three_before_any_trial(self, tmp_path,
+                                                                    monkeypatch):
+        config = tmp_path / "link.ini"
+        config.write_text("[link]\nchi = 0.01\ndetection_eff = 0\n")
+        started = []
+        monkeypatch.setattr(experiments, "run_link_trials", lambda *a, **k: started.append(a))
+        assert run(["link-experiment", "--config", config]) == 3
         assert started == []
 
     def test_trials_flag_is_rejected(self, tmp_path):
@@ -303,6 +340,16 @@ class TestManifest:
                     "--out-dir", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == [str(out / "rate.json")]
+
+    def test_written_for_stalled_rate_as_csv(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["rate", "--config", write_chain_config(tmp_path, chi=0.0),
+                    "--format", "csv", "--out-dir", out]) == 0
+        assert (out / "rate.csv").read_text() == (
+            "level,p_i,t_i_s\n# rate_hz 0\n# stalled_level 0\n")
+        assert not (out / "rate.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / "rate.csv")]
 
     def test_written_for_timeout_exit(self, tmp_path):
         config = write_chain_config(tmp_path, chi=1e-5)

@@ -13,7 +13,7 @@ from dlczsim.config_io import (
     parse_config_text,
     write_csv_atomic,
 )
-from dlczsim.errors import ConfigError
+from dlczsim.errors import ConfigError, ParameterError
 from dlczsim.link_physics import LinkParams
 from dlczsim.rate import ChainParams
 
@@ -152,6 +152,13 @@ class TestParseErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "absent.ini")
+
+    def test_zero_detection_efficiency_is_rejected_when_parsed(self):
+        # intrinsic_efficiency divides by it after a whole storage point
+        with pytest.raises(ParameterError, match=r"detection_eff must be finite and in \(0, 1\]"):
+            parse_config_text("[link]\nchi = 0.01\ndetection_eff = 0\n")
+        config = parse_config_text("[link]\nchi = 0.01\ndetection_eff = 1\n")
+        assert config.link.detection_eff == 1.0
 
 
 class TestResultFormatting:

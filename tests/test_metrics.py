@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlczsim.errors import ContractError, EstimatorError, ParameterError
+from dlczsim.errors import ParameterError
 from dlczsim.link_physics import LinkParams, PmnTable, run_link_trials
 from dlczsim.metrics import (
     bootstrap_concurrence_stderr,
@@ -24,7 +24,7 @@ class TestConcurrence:
             assert concurrence(PmnTable(1.0, 0.0, 0.0, 0.0), vis) == 0.0
 
     def test_zero_table_is_undefined(self):
-        with pytest.raises(EstimatorError):
+        with pytest.raises(ParameterError, match="all four Pmn cells are zero"):
             concurrence(PmnTable(0.0, 0.0, 0.0, 0.0), 1.0)
 
     def test_rejects_visibility_outside_unit_interval(self):
@@ -70,7 +70,7 @@ class TestBootstrap:
         assert a == b
 
     def test_rejects_empty_counts(self):
-        with pytest.raises(EstimatorError):
+        with pytest.raises(ParameterError, match="at least one heralded trial"):
             bootstrap_concurrence_stderr((0, 0, 0, 0), 0.8, substream(0, 0))
 
 
@@ -84,11 +84,11 @@ class TestVisibility:
         assert visibility(85.0, 15.0) == pytest.approx(0.7, abs=1e-12)
 
     def test_zero_max_is_undefined(self):
-        with pytest.raises(EstimatorError):
+        with pytest.raises(ParameterError, match="max_counts = 0"):
             visibility(0.0, 0.0)
 
     def test_inverted_extrema_violate_contract(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ParameterError, match="must be >= min_counts"):
             visibility(10.0, 20.0)
 
     @given(mx=st.floats(1e-9, 1e9), frac=st.floats(0.0, 1.0))
@@ -105,7 +105,7 @@ class TestIntrinsicEfficiency:
 
     def test_zero_denominator_is_undefined(self):
         # an all-zero table is zero heralded trials: no count to normalize by
-        with pytest.raises(EstimatorError):
+        with pytest.raises(ParameterError, match="all four Pmn cells are zero"):
             intrinsic_efficiency(PmnTable(0.0, 0.0, 0.0, 0.0), 0.9)
 
     @pytest.mark.parametrize("eta_d", [0.0, -0.1, 1.5, math.nan])

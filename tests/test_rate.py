@@ -180,7 +180,7 @@ class TestMonotonicity:
         # with a 1/2 per-swap Bell-measurement factor the rate versus link
         # length at fixed total distance has an interior maximum; oracle is a
         # dense grid over the nesting depth
-        total = PROJECTION.total_distance
+        total = 2 ** PROJECTION.n_levels * PROJECTION.l0
         rates = []
         for n in range(0, 9):
             params = dataclasses.replace(
@@ -191,7 +191,7 @@ class TestMonotonicity:
 
     def test_non_increasing_in_l0_beyond_the_peak(self):
         # on the long-link side of the maximum the rate falls with l0
-        total = PROJECTION.total_distance
+        total = 2 ** PROJECTION.n_levels * PROJECTION.l0
         rates = []
         for n in (5, 4, 3, 2, 1):  # l0 = total/2^n increasing
             params = dataclasses.replace(
