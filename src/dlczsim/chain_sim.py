@@ -149,24 +149,6 @@ class ChainTrace:
     def delivered(self) -> int:
         return int(self.delivery_times.size)
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.config.trials,
-            "seed": self.config.seed,
-            "delivered": self.delivered,
-            "timeouts": self.timeouts,
-            "swap_attempts": self.swap_attempts.tolist(),
-            "swap_successes": self.swap_successes.tolist(),
-            "readout_attempts": self.readout_attempts,
-            "readout_successes": self.readout_successes,
-            "empirical_rate_hz": self.empirical_rate,
-            "rate_stderr_hz": (self.rate_stderr if math.isfinite(self.rate_stderr) else None),
-            "analytic_rate_hz": self.analytic_rate,
-            "mean_delivery_time_s": (float(self.delivery_times.mean())
-                                     if self.delivered else None),
-            "delivery_times_s": self.delivery_times.tolist(),
-        }
-
 
 def _blocks(draw, *args):
     """Endless stream of ``draw(*args, BLOCK)`` variates as Python scalars."""

@@ -7,6 +7,9 @@ Commands
     fit              least-squares fit of a CSV (exp | linear | sinusoid)
     sweep            rate as a function of one chain parameter
 
+Every result file and the manifest are laid out here, from the records the
+library returns.
+
 Exit codes: 0 success, 2 config/CSV parse failure or bad arguments, 3 domain
 violation, 4 degenerate run (timeout-dominated simulation, zero heralds),
 5 fit did not converge.
@@ -25,7 +28,6 @@ from . import __version__
 from .chain_sim import simulate_chain, simulate_elementary_link
 from .config_io import (
     canonical_json,
-    config_as_dict,
     format_cell,
     format_float,
     parse_config,
@@ -121,6 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_as_dict(config) -> dict:
+    """The resolved parameter set, as the manifest records it."""
+    out: dict = {"trials": config.trials, "seed": config.seed,
+                 "max_sim_time_s": config.max_sim_time}
+    if config.link is not None:
+        out["link"] = dataclasses.asdict(config.link)
+    if config.chain is not None:
+        out["chain"] = dataclasses.asdict(config.chain)
+    out["experiment"] = dataclasses.asdict(config.experiment)
+    return out
+
+
 def _load_config(args):
     if args.config is None:
         raise ConfigError("this command requires --config")
@@ -193,7 +207,17 @@ def cmd_rate(args) -> int:
             print(f"level {i}:  P={format_float(p_i)}  t_s={format_float(t_i)}")
         print(f"P_pr            {format_float(report.p_pr)}")
         print(f"rate_hz         {format_float(report.rate_hz)}")
-        result = report.to_dict()
+        result = {
+            "p0": report.p0,
+            "p0_multiplexed": report.p0_multiplexed,
+            "p0_linear": report.p0_linear,
+            "t_cc_s": report.t_cc,
+            "t0_s": report.t0,
+            "level_success": report.level_success,
+            "level_time_s": report.level_time,
+            "p_pr": report.p_pr,
+            "rate_hz": report.rate_hz,
+        }
         rows = [(i, p, t) for i, (p, t) in
                 enumerate(zip(report.level_success, report.level_time), start=1)]
         trailers = (f"rate_hz {format_float(report.rate_hz)}",)
@@ -203,7 +227,7 @@ def cmd_rate(args) -> int:
                  trailer_comments=trailers)
     else:
         run.emit("rate.json", write_text_atomic, canonical_json(result))
-    return run.finish(config_as_dict(config), config.seed)
+    return run.finish(_config_as_dict(config), config.seed)
 
 
 def cmd_simulate(args) -> int:
@@ -224,28 +248,42 @@ def cmd_simulate(args) -> int:
             "analytic_success": trace.analytic_success,
             "waiting_times_tcc": trace.waiting_times.tolist(),
         }))
-        return run.finish(config_as_dict(config), sim.seed)
+        return run.finish(_config_as_dict(config), sim.seed)
 
     trace = simulate_chain(sim)
     print(f"delivered {trace.delivered}/{sim.trials}  timeouts {trace.timeouts}")
     print(f"empirical_rate_hz {format_float(trace.empirical_rate)} "
           f"+/- {format_float(trace.rate_stderr)}")
     print(f"analytic_rate_hz  {format_float(trace.analytic_rate)}")
-    run.emit("trace.json", write_text_atomic, canonical_json(trace.to_dict()))
+    run.emit("trace.json", write_text_atomic, canonical_json({
+        "trials": sim.trials,
+        "seed": sim.seed,
+        "delivered": trace.delivered,
+        "timeouts": trace.timeouts,
+        "swap_attempts": trace.swap_attempts.tolist(),
+        "swap_successes": trace.swap_successes.tolist(),
+        "readout_attempts": trace.readout_attempts,
+        "readout_successes": trace.readout_successes,
+        "empirical_rate_hz": trace.empirical_rate,
+        "rate_stderr_hz": trace.rate_stderr if math.isfinite(trace.rate_stderr) else None,
+        "analytic_rate_hz": trace.analytic_rate,
+        "mean_delivery_time_s": (float(trace.delivery_times.mean())
+                                 if trace.delivered else None),
+        "delivery_times_s": trace.delivery_times.tolist(),
+    }))
     run.emit("latency.csv", write_csv_atomic, ("bin_start_s", "bin_end_s", "count"), [
         (float(lo), float(hi), int(count)) for lo, hi, count in
         zip(trace.histogram_edges[:-1], trace.histogram_edges[1:], trace.histogram_counts)])
     if trace.timeouts > 0.5 * sim.trials:
         print(f"error: {trace.timeouts} of {sim.trials} trials timed out at "
               f"max_sim_time={sim.max_sim_time}s", file=sys.stderr)
-        return run.finish(config_as_dict(config), sim.seed, EXIT_DEGENERATE)
-    return run.finish(config_as_dict(config), sim.seed)
+        return run.finish(_config_as_dict(config), sim.seed, EXIT_DEGENERATE)
+    return run.finish(_config_as_dict(config), sim.seed)
 
 
-def _emit_scan(run: _Run, name: str, points) -> None:
-    """Print scan points as column-value pairs and write them as CSV, both
-    from their ``as_row`` dicts."""
-    rows = [p.as_row() for p in points]
+def _emit_scan(run: _Run, name: str, rows: list[dict]) -> None:
+    """Print scan rows as column-value pairs and write them as CSV with the
+    first row's keys as header."""
     for row in rows:
         print("  ".join(f"{key} {format_cell(value)}" for key, value in row.items()))
     run.emit(name, write_csv_atomic, tuple(rows[0]), [tuple(row.values()) for row in rows])
@@ -270,9 +308,14 @@ def cmd_link_experiment(args) -> int:
         config.link, exp.mode_counts, exp.storage_times[0], exp.window_budget,
         config.seed, phases=exp.fringe_phases, shots_per_phase=exp.fringe_shots)
     # both scans finish before any output, so a scan that raises writes no file
-    _emit_scan(run, "storage_scan.csv", storage_points)
-    _emit_scan(run, "mode_scan.csv", mode_points)
-    return run.finish(config_as_dict(config), config.seed)
+    _emit_scan(run, "storage_scan.csv", [
+        {"storage_time_us": p.storage_time * 1e6, "C": p.concurrence,
+         "C_stderr": p.concurrence_stderr, "V": p.visibility, "eta": p.efficiency}
+        for p in storage_points])
+    _emit_scan(run, "mode_scan.csv", [
+        {"mode_count": p.mode_count, "P_D": p.detection_probability, "C": p.concurrence}
+        for p in mode_points])
+    return run.finish(_config_as_dict(config), config.seed)
 
 
 _FIT_DISPATCH = {
@@ -353,7 +396,7 @@ def cmd_sweep(args) -> int:
     print(f"# monotonicity: {diagnostic}")
     run.emit("sweep.csv", write_csv_atomic, (args.param, "rate_hz"), rows,
              trailer_comments=(f"monotonicity: {diagnostic}",))
-    return run.finish({**config_as_dict(config), "param": args.param,
+    return run.finish({**_config_as_dict(config), "param": args.param,
                        "min": args.min, "max": args.max, "steps": args.steps,
                        "monotonicity": diagnostic},
                       config.seed)

@@ -10,7 +10,6 @@ significant digits, which makes reruns byte-comparable.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import json
 import os
 import tempfile
@@ -38,11 +37,11 @@ __all__ = [
 # check_fields spec of ExperimentConfig, also its [experiment] keys
 EXPERIMENT_FIELDS = (
     ("storage_times_us", (float,), ">= 0"),
-    ("mode_counts", (int,), ">= 1"),
+    ("mode_counts", (int,), "in [1, 1000000]"),
     ("trains", int, ">= 1"),
     ("window_budget", int, ">= 1"),
     ("fringe_phases", int, ">= 4"),     # a sinusoid fit needs 4 phases
-    ("fringe_shots", int, ">= 0"),
+    ("fringe_shots", int, "in [0, 1000000000000]"),
 )
 
 
@@ -207,14 +206,3 @@ def write_csv_atomic(path, header, rows, trailer_comments=()) -> None:
     lines.extend(f"# {comment}" for comment in trailer_comments)
     write_text_atomic(path, "\n".join(lines) + "\n")
 
-
-def config_as_dict(config: RunConfig) -> dict:
-    """Flatten the resolved parameter set for embedding in a manifest."""
-    out: dict = {"trials": config.trials, "seed": config.seed,
-                 "max_sim_time_s": config.max_sim_time}
-    if config.link is not None:
-        out["link"] = dataclasses.asdict(config.link)
-    if config.chain is not None:
-        out["chain"] = dataclasses.asdict(config.chain)
-    out["experiment"] = dataclasses.asdict(config.experiment)
-    return out

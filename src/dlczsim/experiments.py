@@ -21,8 +21,7 @@ from .metrics import bootstrap_concurrence_stderr, concurrence, intrinsic_effici
 from .streams import substream
 
 __all__ = [
-    "StorageTimePoint",
-    "ModeCountPoint",
+    "ScanPoint",
     "fringe_counts",
     "measure_visibility",
     "storage_time_scan",
@@ -31,42 +30,20 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class StorageTimePoint:
+class ScanPoint:
+    """One point of either scan: the link's storage time and mode count, and
+    every estimate drawn there."""
+
     storage_time: float
+    mode_count: int
+    heralded: int
     concurrence: float
     concurrence_stderr: float
     visibility: float
     visibility_stderr: float
     efficiency: float
-    heralded: int
-    trains: int
-
-    def as_row(self) -> dict:
-        return {
-            "storage_time_us": self.storage_time * 1e6,
-            "C": self.concurrence,
-            "C_stderr": self.concurrence_stderr,
-            "V": self.visibility,
-            "eta": self.efficiency,
-        }
-
-
-@dataclass(frozen=True)
-class ModeCountPoint:
-    mode_count: int
     detection_probability: float
     detection_stderr: float
-    concurrence: float
-    concurrence_stderr: float
-    heralded: int
-    trains: int
-
-    def as_row(self) -> dict:
-        return {
-            "mode_count": self.mode_count,
-            "P_D": self.detection_probability,
-            "C": self.concurrence,
-        }
 
 
 def fringe_counts(params: LinkParams, storage_time: float, rng: np.random.Generator,
@@ -98,8 +75,9 @@ def measure_visibility(params: LinkParams, storage_time: float, rng: np.random.G
 
 
 def _point(params: LinkParams, storage_time: float, trains: int, seed_root: int,
-           stream: int, phases: int, shots_per_phase: int):
-    """(tally, C, C_stderr, V, V_stderr) of one scan point."""
+           stream: int, phases: int, shots_per_phase: int) -> ScanPoint:
+    """Draw one scan point: the link trials, fringe and bootstrap on
+    substreams (seed_root, stream, 0 | 1 | 2)."""
     tally = run_link_trials(params, storage_time, trains, substream(seed_root, stream, 0))
     if tally.heralded == 0:
         raise NoHeraldsError(
@@ -110,32 +88,32 @@ def _point(params: LinkParams, storage_time: float, trains: int, seed_root: int,
     stderr = bootstrap_concurrence_stderr(
         tally.pmn_counts.reshape(4), vis,
         substream(seed_root, stream, 2), visibility_stderr=vis_err)
-    return tally, concurrence(tally.pmn(), vis), stderr, vis, vis_err
+    p_d = tally.detection_probability
+    return ScanPoint(
+        storage_time=storage_time,
+        mode_count=params.mode_count,
+        heralded=tally.heralded,
+        concurrence=concurrence(tally.pmn(), vis),
+        concurrence_stderr=stderr,
+        visibility=vis,
+        visibility_stderr=vis_err,
+        efficiency=intrinsic_efficiency(tally.pmn(), params.detection_eff),
+        detection_probability=p_d,
+        # clicks across windows are nearly independent Bernoullis at these rates
+        detection_stderr=float(np.sqrt(max(p_d, 1.0 / tally.trains) / tally.trains)),
+    )
 
 
 def storage_time_scan(params: LinkParams, storage_times, trains: int, seed: int,
-                      phases: int, shots_per_phase: int) -> list[StorageTimePoint]:
+                      phases: int, shots_per_phase: int) -> list[ScanPoint]:
     """Run the full pipeline at each storage time. ``trains`` applies per point."""
-    points = []
-    for index, t in enumerate(storage_times):
-        tally, c, c_err, vis, vis_err = _point(
-            params, float(t), trains, seed, index, phases, shots_per_phase)
-        points.append(StorageTimePoint(
-            storage_time=float(t),
-            concurrence=c,
-            concurrence_stderr=c_err,
-            visibility=vis,
-            visibility_stderr=vis_err,
-            efficiency=intrinsic_efficiency(tally.pmn(), params.detection_eff),
-            heralded=tally.heralded,
-            trains=tally.trains,
-        ))
-    return points
+    return [_point(params, float(t), trains, seed, index, phases, shots_per_phase)
+            for index, t in enumerate(storage_times)]
 
 
 def mode_count_scan(params: LinkParams, mode_counts, storage_time: float,
                     window_budget: int, seed: int, phases: int,
-                    shots_per_phase: int) -> list[ModeCountPoint]:
+                    shots_per_phase: int) -> list[ScanPoint]:
     """Scan the number of multiplexed modes at a fixed storage time.
 
     ``window_budget`` is the total number of (train x window) slots sampled at
@@ -148,19 +126,6 @@ def mode_count_scan(params: LinkParams, mode_counts, storage_time: float,
         scan_params = dataclasses.replace(
             params, mode_count=n,
             train_duration=max(params.train_duration, params.pulse_interval * n))
-        trains = max(1, window_budget // n)
-        tally, c, c_err, _, _ = _point(
-            scan_params, storage_time, trains, seed, 1000 + index, phases, shots_per_phase)
-        p_d = tally.detection_probability
-        # clicks across windows are nearly independent Bernoullis at these rates
-        stderr = float(np.sqrt(max(p_d, 1.0 / tally.trains) / tally.trains))
-        points.append(ModeCountPoint(
-            mode_count=n,
-            detection_probability=p_d,
-            detection_stderr=stderr,
-            concurrence=c,
-            concurrence_stderr=c_err,
-            heralded=tally.heralded,
-            trains=tally.trains,
-        ))
+        points.append(_point(scan_params, storage_time, max(1, window_budget // n), seed,
+                             1000 + index, phases, shots_per_phase))
     return points

@@ -14,6 +14,7 @@ come from the weighted-least-squares covariance s^2 (J^T W J)^-1.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,6 +104,24 @@ class FitResult:
     converged: bool
     iterations: int
 
+    def __post_init__(self):
+        # an infinite stderr is the flat fringe's answer (no visibility to
+        # measure); a NaN one, or any non-finite estimate, is no answer at all
+        if not (all(map(math.isfinite, (*self.params.values(), self.rss)))
+                and not any(map(math.isnan, self.stderr.values()))):
+            raise ParameterError(f"the {self.model} fit of these values is not finite")
+
+
+def _numeric(fit):
+    """Raise ParameterError where ``fit``'s arithmetic or linear algebra fails."""
+    @functools.wraps(fit)
+    def guarded(samples: Samples) -> FitResult:
+        try:
+            return fit(samples)
+        except (ArithmeticError, np.linalg.LinAlgError) as exc:
+            raise ParameterError(f"{fit.__name__} failed on these values: {exc}") from exc
+    return guarded
+
 
 def _covariance(jacobian: np.ndarray, weight: np.ndarray, rss: float) -> np.ndarray:
     m, p = jacobian.shape
@@ -149,6 +168,7 @@ def _levenberg_marquardt(model, jacobian, x0, samples: Samples):
     return x, rss, converged, iterations
 
 
+@_numeric
 def fit_exponential(samples: Samples) -> FitResult:
     """Fit y = r0 * exp(-x / tau0), seeded from a log-linear regression."""
     if samples.x.size < 3:
@@ -186,6 +206,7 @@ def fit_exponential(samples: Samples) -> FitResult:
     )
 
 
+@_numeric
 def fit_linear_origin(samples: Samples) -> FitResult:
     """Fit y = slope * x through the origin (closed form)."""
     w, x, y = samples.weight, samples.x, samples.y
@@ -207,6 +228,7 @@ def fit_linear_origin(samples: Samples) -> FitResult:
     )
 
 
+@_numeric
 def fit_sinusoid(samples: Samples) -> FitResult:
     """Fit y = A * (1 + V * cos(x + theta0)) with V constrained to [0, 1].
 

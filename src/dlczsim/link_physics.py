@@ -55,7 +55,7 @@ MAX_EXCITATION = 2
 # check_fields spec of LinkParams, also the [link] keys config_io reads
 LINK_FIELDS = (
     ("chi", float, "in [0, 1)"),    # chi = 1 has no normalizable thermal law
-    ("mode_count", int, ">= 1"),
+    ("mode_count", int, "in [1, 1000000]"),
     ("pulse_interval", float, "> 0"),
     ("train_duration", float, "> 0"),
     ("retrieval_eff_zero", float, "in [0, 1]"),

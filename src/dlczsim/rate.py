@@ -92,19 +92,6 @@ class ChainReport:
     p_pr: float
     rate_hz: float
 
-    def to_dict(self) -> dict:
-        return {
-            "p0": self.p0,
-            "p0_multiplexed": self.p0_multiplexed,
-            "p0_linear": self.p0_linear,
-            "t_cc_s": self.t_cc,
-            "t0_s": self.t0,
-            "level_success": list(self.level_success),
-            "level_time_s": list(self.level_time),
-            "p_pr": self.p_pr,
-            "rate_hz": self.rate_hz,
-        }
-
 
 def elementary_p0(params: ChainParams) -> float:
     """Single-mode generation success probability per interval.

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlczsim import chain_sim, cli, experiments
+from dlczsim.config_io import format_cell, parse_config
 from dlczsim.fitters import FitResult
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -234,6 +237,27 @@ class TestLinkExperiment:
         assert f"more than {cli.MAX_LINK_SLOTS}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edits, code", [
+        # one train of 10^6 + 1 modes: long enough and under the slot cap
+        ({"mode_count = 12": "mode_count = 1000001", "trains = 1500000": "trains = 1",
+          "train_duration_s = 8e-06": "train_duration_s = 1"}, 3),
+        ({"mode_counts = 1, 2,": "mode_counts = 1000001, 2,"}, 2),
+        ({"fringe_shots = 4000": "fringe_shots = 100000000000000000000"}, 2),
+    ])
+    def test_oversize_link_exits_before_any_scan(self, tmp_path, monkeypatch, edits, code):
+        text = (CONFIGS / "link_calibrated.ini").read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        config = tmp_path / "link.ini"
+        config.write_text(text)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a scan ran")
+        monkeypatch.setattr(cli, "storage_time_scan", no_scan)
+        monkeypatch.setattr(cli, "mode_count_scan", no_scan)
+        assert run(["link-experiment", "--config", config]) == code
+
     def test_zero_detection_efficiency_exits_three_before_any_trial(self, tmp_path,
                                                                     monkeypatch):
         config = tmp_path / "link.ini"
@@ -275,6 +299,77 @@ class TestLinkExperiment:
         assert not (out / "storage_scan.csv").exists()
         assert not (out / "mode_scan.csv").exists()
         assert not (out / "manifest.json").exists()
+
+
+
+class TestResultLayouts:
+    """The exact keys and columns of every result file, which cli lays out."""
+
+    def test_scan_rows_are_the_scan_points(self, tmp_path):
+        path = tmp_path / "link.ini"
+        path.write_text(
+            (CONFIGS / "link_calibrated.ini").read_text().split("[sim]")[0]
+            + "[sim]\nseed = 5\n"
+            "[experiment]\nstorage_times_us = 1.0, 150.0\nmode_counts = 1, 12\n"
+            "trains = 20000\nwindow_budget = 100000\n"
+            "fringe_phases = 12\nfringe_shots = 2000\n")
+        out = tmp_path / "out"
+        assert run(["link-experiment", "--config", path, "--out-dir", out]) == 0
+
+        config = parse_config(path)
+        exp = config.experiment
+        storage = experiments.storage_time_scan(
+            config.link, exp.storage_times, exp.trains, config.seed,
+            phases=exp.fringe_phases, shots_per_phase=exp.fringe_shots)
+        modes = experiments.mode_count_scan(
+            config.link, exp.mode_counts, exp.storage_times[0], exp.window_budget,
+            config.seed, phases=exp.fringe_phases, shots_per_phase=exp.fringe_shots)
+        assert [p.mode_count for p in storage] == [12, 12]
+        assert [(p.storage_time, p.mode_count) for p in modes] == [(1e-6, 1), (1e-6, 12)]
+
+        def cells(name):
+            return [line.split(",") for line in (out / name).read_text().splitlines()]
+        assert cells("storage_scan.csv") == [["storage_time_us", "C", "C_stderr", "V", "eta"]] + [
+            [format_cell(v) for v in (p.storage_time * 1e6, p.concurrence,
+                                      p.concurrence_stderr, p.visibility, p.efficiency)]
+            for p in storage]
+        assert cells("mode_scan.csv") == [["mode_count", "P_D", "C"]] + [
+            [format_cell(v) for v in (p.mode_count, p.detection_probability, p.concurrence)]
+            for p in modes]
+
+    def test_rate_json_keys(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["rate", "--config", CONFIGS / "projection.ini", "--out-dir", out]) == 0
+        assert set(json.loads((out / "rate.json").read_text())) == {
+            "p0", "p0_multiplexed", "p0_linear", "t_cc_s", "t0_s",
+            "level_success", "level_time_s", "p_pr", "rate_hz"}
+
+    def test_stalled_rate_json_keys(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["rate", "--config", write_chain_config(tmp_path, chi=0.0),
+                    "--out-dir", out]) == 0
+        assert json.loads((out / "rate.json").read_text()) == {
+            "rate_hz": 0, "stalled_level": 0}
+
+    def test_chain_trace_json_keys(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", write_chain_config(tmp_path), "--trials", 20,
+                    "--out-dir", out]) == 0
+        trace = json.loads((out / "trace.json").read_text())
+        assert set(trace) == {
+            "trials", "seed", "delivered", "timeouts", "swap_attempts", "swap_successes",
+            "readout_attempts", "readout_successes", "empirical_rate_hz",
+            "rate_stderr_hz", "analytic_rate_hz", "mean_delivery_time_s",
+            "delivery_times_s"}
+        assert (trace["trials"], trace["seed"]) == (20, 11)
+
+    def test_elementary_trace_json_keys(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", write_chain_config(tmp_path), "--elementary",
+                    "--out-dir", out]) == 0
+        assert set(json.loads((out / "trace.json").read_text())) == {
+            "mode", "intervals", "successes", "empirical_success", "analytic_success",
+            "waiting_times_tcc"}
 
 
 class TestFit:
@@ -320,6 +415,36 @@ class TestFit:
         csv = tmp_path / "data.csv"
         csv.write_text("x,y,weight\n" + "\n".join(",".join(map(str, r)) for r in rows))
         assert run(["fit", csv, "--model", model]) == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rows, model", [
+        ("1e200,1e200\n2e200,2e200\n3e200,3e200", "linear"),           # slope and rss NaN
+        ("0,1e300\n1,1e300\n2,1e300\n3,1e300\n4,1e300", "sinusoid"),  # amplitude ** 2
+        ("1e-200,1\n2e-200,2\n3e-200,3", "exp"),                       # the seed's SVD
+        ("0,1e300\n1,5e299\n2,2e299\n3,1e299", "exp"),                # rss overflows
+        ("0,1e300\n1,5e299\n2,2e299\n3,1e299", "linear"),
+    ])
+    def test_finite_values_without_a_finite_fit_exit_three(self, tmp_path, rows, model):
+        csv = tmp_path / "data.csv"
+        csv.write_text("x,y\n" + rows + "\n")
+        out = tmp_path / "out"
+        assert run(["fit", csv, "--model", model, "--out-dir", out]) == 3
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(model=st.sampled_from(["exp", "linear", "sinusoid"]),
+           rows=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                   st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=2, max_size=12))
+    def test_any_finite_csv_exits_0_3_or_5_with_no_nan(self, tmp_path_factory, model, rows):
+        path = tmp_path_factory.mktemp("fit")
+        csv = path / "data.csv"
+        csv.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+        code = run(["fit", csv, "--model", model, "--out-dir", path / "out"])
+        assert code in (0, 3, 5)
+        if code != 3:
+            assert "NaN" not in (path / "out" / "fit.json").read_text()
 
     def test_non_convergence_exits_five(self, tmp_path, monkeypatch):
         csv = tmp_path / "data.csv"

@@ -125,6 +125,13 @@ class TestRoundTrip:
         root = Path(__file__).resolve().parents[1] / "configs"
         assert parse_config(root / "link_calibrated.ini").link == calibrated_link_params()
 
+    def test_projection_config_is_the_default_chain(self):
+        # the projection point is written down twice: in the shipped config
+        # and as the ChainParams defaults; the two copies must stay equal
+        from pathlib import Path
+        root = Path(__file__).resolve().parents[1] / "configs"
+        assert parse_config(root / "projection.ini").chain == ChainParams()
+
 
 class TestParseErrors:
     def test_unknown_section(self):
@@ -159,6 +166,24 @@ class TestParseErrors:
             parse_config_text("[link]\nchi = 0.01\ndetection_eff = 0\n")
         config = parse_config_text("[link]\nchi = 0.01\ndetection_eff = 1\n")
         assert config.link.detection_eff == 1.0
+
+    @pytest.mark.parametrize("text, error, key", [
+        ("[link]\nchi = 1e-7\ntrain_duration_s = 1\nmode_count = {}\n", ParameterError,
+         "mode_count"),
+        ("[experiment]\nmode_counts = 1, {}\n", ConfigError, "mode_counts"),
+    ])
+    def test_mode_counts_above_a_million_are_rejected_when_parsed(self, text, error, key):
+        # the link kernel and the closed forms hold arrays of N entries
+        with pytest.raises(error, match=rf"{key} .*in \[1, 1000000\]"):
+            parse_config_text(text.format(10**6 + 1))
+        parse_config_text(text.format(10**6))
+
+    def test_fringe_shots_above_1e12_are_rejected_when_parsed(self):
+        # numpy's Poisson sampler rejects a mean above ~9.2e18
+        with pytest.raises(ConfigError, match=r"fringe_shots .*in \[0, 1000000000000\]"):
+            parse_config_text(f"[experiment]\nfringe_shots = {10**20}\n")
+        config = parse_config_text(f"[experiment]\nfringe_shots = {10**12}\n")
+        assert config.experiment.fringe_shots == 10**12
 
 
 class TestResultFormatting:

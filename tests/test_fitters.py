@@ -158,6 +158,14 @@ class TestFitSinusoid:
         assert fit.params["visibility"] == pytest.approx(0.0, abs=1e-12)
         assert fit.params["amplitude"] == pytest.approx(42.0, rel=1e-12)
 
+    def test_all_zero_counts_keep_an_infinite_visibility_error(self):
+        # a fringe scan with fringe_shots = 0 counts nothing: there is no
+        # visibility to measure, which the bootstrap reads as an infinite error
+        theta = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
+        fit = fit_sinusoid(Samples.from_xy(theta, np.zeros(12)))
+        assert (fit.params["amplitude"], fit.params["visibility"]) == (0.0, 0.0)
+        assert fit.stderr["visibility"] == math.inf
+
     def test_poisson_noise_recovery_within_three_stderr(self):
         rng = substream(6, 0)
         theta = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
