@@ -113,11 +113,15 @@ class FitResult:
 
 
 def _numeric(fit):
-    """Raise ParameterError where ``fit``'s arithmetic or linear algebra fails."""
+    """Raise ParameterError where ``fit``'s arithmetic or linear algebra fails.
+
+    numpy's overflow warnings are silenced: FitResult rejects what is not finite.
+    """
     @functools.wraps(fit)
     def guarded(samples: Samples) -> FitResult:
         try:
-            return fit(samples)
+            with np.errstate(all="ignore"):
+                return fit(samples)
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             raise ParameterError(f"{fit.__name__} failed on these values: {exc}") from exc
     return guarded

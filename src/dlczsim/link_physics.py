@@ -221,8 +221,8 @@ def _stokes_clicks(slot: np.ndarray, k: np.ndarray, n_trains: int, params: LinkP
     Each photon independently survives the path with probability eta_td; a
     window's survivors from both nodes exit the beam splitter toward either
     detector with probability 1/2 each; dark counts add false clicks per
-    detector and window. Returns (window, click1, click2, survivors) over the
-    windows where either detector clicked, window ascending.
+    detector and window. Returns (window, click1, click2) over the windows
+    where either detector clicked, window ascending.
     """
     n_modes = params.mode_count
     photons = rng.binomial(k, params.eta_td)
@@ -237,29 +237,26 @@ def _stokes_clicks(slot: np.ndarray, k: np.ndarray, n_trains: int, params: LinkP
         dark1 = _bernoulli_positions(n_trains * n_modes, params.dark_count_prob, rng)
         dark2 = _bernoulli_positions(n_trains * n_modes, params.dark_count_prob, rng)
         merged = _group(np.concatenate([window, dark1, dark2]))[0]
-        spread = np.zeros((3, merged.size), dtype=np.int64)
-        spread[:, np.searchsorted(merged, window)] = click1, click2, survivors
-        spread[0, np.searchsorted(merged, dark1)] = 1
-        spread[1, np.searchsorted(merged, dark2)] = 1
-        window, survivors = merged, spread[2]
-        click1, click2 = spread[:2].astype(bool)
-    return window, click1, click2, survivors
+        spread = np.zeros((2, merged.size), dtype=bool)
+        spread[:, np.searchsorted(merged, window)] = click1, click2
+        spread[0, np.searchsorted(merged, dark1)] = True
+        spread[1, np.searchsorted(merged, dark2)] = True
+        window, (click1, click2) = merged, spread
+    return window, click1, click2
 
 
 def _first_herald(window: np.ndarray, click1: np.ndarray, click2: np.ndarray,
-                  survivors: np.ndarray, mode_count: int, rng: np.random.Generator):
+                  mode_count: int, rng: np.random.Generator):
     """Earliest-window-wins herald selection.
 
     A train's herald is its earliest clicking window. Returns (train, mode,
-    detector code 0/1, double-excitation flag), one entry per heralded train,
-    train ascending. Later clicks in the same train are discarded (the read
-    pulse is already committed by feedforward). Detector code 0 is D_S1 and
-    heralds the + superposition, code 1 is D_S2 and heralds the - one. When
-    both detectors click in the winning window the recorded detector is chosen
-    uniformly (whichever latch fired first in hardware; the model has no
-    sub-window timing). The double-excitation flag marks windows where more
-    than one photon reached the measurement stage; such trains stay in the
-    heralded sample because no experiment could reject them at heralding time.
+    detector code 0/1), one entry per heralded train, train ascending. Later
+    clicks in the same train are discarded (the read pulse is already committed
+    by feedforward). Detector code 0 is D_S1 and heralds the + superposition,
+    code 1 is D_S2 and heralds the - one. When both detectors click in the
+    winning window the recorded detector is chosen uniformly (whichever latch
+    fired first in hardware; the model has no sub-window timing). A multi-photon
+    window heralds like any other: no experiment could reject it then.
     """
     train = window // mode_count
     first = np.flatnonzero(np.diff(train, prepend=-1))
@@ -267,7 +264,7 @@ def _first_herald(window: np.ndarray, click1: np.ndarray, click2: np.ndarray,
     detector = (~c1).astype(np.int64)       # a lone click fixes the code
     tie = c1 & c2
     detector[tie] = rng.random(int(tie.sum())) < 0.5
-    return train[first], window[first] % mode_count, detector, survivors[first] >= 2
+    return train[first], window[first] % mode_count, detector
 
 
 def _occupation_at(slot: np.ndarray, k: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -320,11 +317,9 @@ class LinkTally:
 
     trains: int
     heralded: int
-    double_heralds: int
     pmn_counts: np.ndarray            # (2, 2) clamped click-pattern counts
     window_counts: np.ndarray         # (N, 2) herald counts per (window, detector)
     detector_clicks: int              # Stokes clicks over ALL windows (no first-click cut)
-    coincidence_windows: int          # windows where both Stokes detectors clicked
 
     @property
     def herald_probability(self) -> float:
@@ -358,30 +353,25 @@ def run_link_trials(params: LinkParams, storage_time: float, trains: int,
         raise ParameterError(f"storage_time must be >= 0, got {storage_time}")
     n_modes = params.mode_count
     chunk = max(1, _CHUNK_SLOTS // (2 * n_modes))
-    heralded = double_heralds = detector_clicks = coincidence_windows = 0
+    heralded = detector_clicks = 0
     pmn_counts = np.zeros(4, dtype=np.int64)
     window_counts = np.zeros(2 * n_modes, dtype=np.int64)
     for done in range(0, trains, chunk):
         n = min(chunk, trains - done)
         slot, k = _sample_excitations(params, n, rng)
-        window, click1, click2, survivors = _stokes_clicks(slot, k, n, params, rng)
-        train, mode, detector, double = _first_herald(window, click1, click2, survivors,
-                                                      n_modes, rng)
+        window, click1, click2 = _stokes_clicks(slot, k, n, params, rng)
+        train, mode, detector = _first_herald(window, click1, click2, n_modes, rng)
         m, n_clicks = _readout_counts(slot, k, train, mode, storage_time, params, rng)
         heralded += train.size
-        double_heralds += int(double.sum())
         pmn_counts += np.bincount(2 * np.minimum(m, 1) + np.minimum(n_clicks, 1), minlength=4)
         window_counts += np.bincount(2 * mode + detector, minlength=2 * n_modes)
         detector_clicks += int(click1.sum()) + int(click2.sum())
-        coincidence_windows += int((click1 & click2).sum())
     return LinkTally(
         trains=trains,
         heralded=heralded,
-        double_heralds=double_heralds,
         pmn_counts=pmn_counts.reshape(2, 2),
         window_counts=window_counts.reshape(n_modes, 2),
         detector_clicks=detector_clicks,
-        coincidence_windows=coincidence_windows,
     )
 
 

@@ -2,11 +2,12 @@
 
 All randomness in the package flows from a single 64-bit root seed. Sub-streams
 are derived with ``numpy.random.SeedSequence(root, spawn_key=path)``: the path
-is a tuple of non-negative integers naming the consumer (e.g. ``(trial_index,)``
-for one Monte Carlo trial, ``(point_index, 1)`` for a fringe scan). SeedSequence
-hashes (root, path) into generator state, so streams are independent of each
-other and of which other consumers run: trial *i* sees the same stream however
-many trials the run holds. Samplers take the Generator itself, never a seed.
+is a tuple of non-negative integers naming the consumer (e.g. ``(round, level)``
+for one level of a round of chain trials, ``(point_index, 1)`` for a fringe
+scan). SeedSequence hashes (root, path) into generator state, so streams are
+independent of each other and of which other consumers run: a chain round sees
+the same streams however many trials the run holds. Samplers take the
+Generator itself, never a seed.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 
 from dlczsim import chain_sim
-from dlczsim.chain_sim import SimConfig, _trial, simulate_chain, simulate_elementary_link
+from dlczsim.chain_sim import SimConfig, _round, simulate_chain, simulate_elementary_link
 from dlczsim.errors import ParameterError, StalledChainError
 from dlczsim.rate import ChainParams, elementary_p0, multiplexed_success, swap_chain
 
@@ -159,11 +159,35 @@ class TestChain:
         # 1024 links until max_sim_time
         def no_trial(*args):
             raise AssertionError("a trial ran")
-        monkeypatch.setattr(chain_sim, "_trial", no_trial)
+        monkeypatch.setattr(chain_sim, "_round", no_trial)
         chain = dataclasses.replace(PROJECTION, n_levels=10, swap_intrinsic_factor=0.05)
         with pytest.raises(StalledChainError) as exc:
             simulate_chain(SimConfig(chain=chain, trials=1000, seed=9))
         assert exc.value.level == 5
+
+    def test_rounds_keep_the_prefix_property(self, monkeypatch):
+        # a 4096-link budget stops starting trials after ~27 projection trials
+        # a round, so these runs span several rounds and end mid-round
+        monkeypatch.setattr(chain_sim, "MAX_ROUND_LINKS", 4096)
+        config = SimConfig(chain=PROJECTION, trials=120, seed=8)
+        a = simulate_chain(config)
+        prefix = simulate_chain(dataclasses.replace(config, trials=50))
+        assert a.delivered == 120
+        assert np.array_equal(prefix.delivery_times, a.delivery_times[:50])
+        monkeypatch.undo()
+        assert not np.array_equal(simulate_chain(config).delivery_times, a.delivery_times)
+
+    def test_trial_over_the_round_budget_raises(self, monkeypatch):
+        # 6 levels of certain links and coin-flip swaps: a trial draws the 64
+        # links the round holds only if all 63 swaps succeed at once
+        monkeypatch.setattr(chain_sim, "MAX_ROUND_LINKS", 64)
+        with pytest.raises(ParameterError, match="MAX_ROUND_LINKS = 64"):
+            simulate_chain(SimConfig(chain=lossless_chain(n_levels=6, swap_intrinsic_factor=0.5),
+                                     trials=1, seed=0))
+        with pytest.raises(ParameterError, match="n_levels"):
+            SimConfig(chain=lossless_chain(n_levels=7), trials=1)
+        monkeypatch.setattr(chain_sim, "MAX_ROUND_LINKS", 128)
+        assert simulate_chain(SimConfig(chain=lossless_chain(n_levels=7), trials=3)).delivered == 3
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -200,8 +224,8 @@ class TestExactChainCorners:
     def test_one_level_waits_for_the_slower_link(self):
         # both links draw Geometric(p); the swap at their max succeeds w.p. q
         # and a failure restarts both, so the mean is E[max] / q = 7.843. At
-        # q = 0.02 a trial takes ~50 rounds, ~100 link times and ~50 uniforms,
-        # so most trials refill their streams past the first BLOCK variates.
+        # q = 0.02 a trial takes ~50 rounds, so a level-1 segment spans ~50
+        # pairs of the pooled link array.
         for q, mean in ((0.6, 7.843), (0.02, 235.294)):
             chain = lossless_chain(n_levels=1, chi=0.3, swap_intrinsic_factor=q)
             p = multiplexed_success(elementary_p0(chain), chain.mode_count)
@@ -263,8 +287,98 @@ class TestExactChainCorners:
         # directly, since simulate_chain also evaluates the recursion, which
         # stalls at a zero swap factor.
         chain = lossless_chain(n_levels=2, chi=1.0, swap_intrinsic_factor=0.0)
-        results = [_trial(chain, 1.0, 10, 23, i) for i in range(3)]
-        assert [ticks for ticks, *_ in results] == [None] * 3
-        assert np.sum([r[1] for r in results], axis=0).tolist() == [60, 0]
-        assert np.sum([r[2] for r in results], axis=0).tolist() == [0, 0]
-        assert sum(r[3] for r in results) == 0
+        ticks, attempts, successes, readouts = _round(chain, 1.0, 10, 1.0, 23, 0, 3)
+        assert ticks == [None] * 3
+        assert attempts == [60, 0]
+        assert successes == [0, 0]
+        assert readouts == 0
+
+
+def reference_trial(chain: ChainParams, max_ticks: int, links, uniforms):
+    """One trial of the per-trial recursion the pooled sampler replaced, the
+    oracle of the two-sample tests: link times and uniforms come one at a time
+    from the iterators. Returns (delivery tick or None, swap attempts and
+    successes per level, readout attempts), counting only swaps and readouts at
+    ticks <= max_ticks."""
+    q = chain.swap_intrinsic_factor * chain.r0 * chain.eta_td
+    decay = chain.t_cc / chain.tau0
+    attempts, successes = [0] * chain.n_levels, [0] * chain.n_levels
+
+    def built(level: int, start: int) -> int:
+        # tick at which a segment whose links are free from `start` exists
+        if level == 0:
+            return start + next(links)
+        while True:
+            a, b = built(level - 1, start), built(level - 1, start)
+            t = max(a, b)
+            if t > max_ticks:
+                return t
+            attempts[level - 1] += 1
+            if next(uniforms) < q * math.exp(-(t - min(a, b)) * decay):
+                successes[level - 1] += 1
+                return t
+            start = t       # both children are consumed either way
+
+    t = readouts = 0
+    while True:
+        t = built(chain.n_levels, t)
+        if t > max_ticks:
+            return None, attempts, successes, readouts
+        readouts += 1
+        if next(uniforms) < chain.r0 * math.exp(-t * decay):
+            return t, attempts, successes, readouts
+
+
+def endless(draw):
+    while True:
+        yield from draw(4096).tolist()
+
+
+class TestAgainstReferenceRecursion:
+    """The pooled sampler and the per-trial recursion sample the same law: the
+    delivery ticks pass a two-sample KS test at 1e-4 (0.2% over the 21
+    configurations), and the per-trial means of every counter (swap attempts
+    and successes per level, readouts, timeouts) agree within 5 standard
+    errors. The pooled side runs in 10 independent batches, whose spread gives
+    its standard error even when rare trials that never read out carry most of
+    a counter."""
+
+    TRIALS, BATCHES = 400, 10
+
+    def compare(self, chain: ChainParams, max_ticks: int):
+        max_sim_time = (max_ticks + 0.5) * chain.t_cc
+        batches = [simulate_chain(SimConfig(chain=chain, trials=self.TRIALS // self.BATCHES,
+                                            seed=40 + b, max_sim_time=max_sim_time))
+                   for b in range(self.BATCHES)]
+        rng = np.random.default_rng(41)
+        p_gen = multiplexed_success(elementary_p0(chain), chain.mode_count)
+        links, uniforms = endless(lambda k: rng.geometric(p_gen, k)), endless(rng.random)
+        reference = [reference_trial(chain, max_ticks, links, uniforms)
+                     for _ in range(self.TRIALS)]
+
+        # ticks are integers: round away the T_cc scaling, or every tie splits
+        pooled_ticks = np.rint(np.concatenate([t.delivery_times for t in batches]) / chain.t_cc)
+        reference_ticks = [t for t, *_ in reference if t is not None]
+        if min(len(pooled_ticks), len(reference_ticks)) > 1:
+            assert scipy.stats.ks_2samp(pooled_ticks, reference_ticks).pvalue > 1e-4
+        per_batch = np.array([[*t.swap_attempts, *t.swap_successes, t.readout_attempts,
+                               t.timeouts] for t in batches]) * self.BATCHES / self.TRIALS
+        per_trial = np.array([[*a, *s, r, t is None] for t, a, s, r in reference], dtype=float)
+        diff = per_batch.mean(axis=0) - per_trial.mean(axis=0)
+        stderr = np.sqrt(per_batch.var(axis=0, ddof=1) / self.BATCHES
+                         + per_trial.var(axis=0, ddof=1) / self.TRIALS)
+        assert np.all(np.abs(diff) <= 5 * stderr)
+
+    @pytest.mark.parametrize("n_levels", range(5))
+    @pytest.mark.parametrize("tau0", [0.05, 16.0])
+    @pytest.mark.parametrize("swap_factor", [0.5, 1.0])
+    def test_projection_grid(self, n_levels, tau0, swap_factor):
+        # at tau0 = 0.05 s a readout decays by e per ~160 ticks, so some trials
+        # never read out and time out at the horizon
+        self.compare(dataclasses.replace(PROJECTION, n_levels=n_levels, tau0=tau0,
+                                         swap_intrinsic_factor=swap_factor), 4000)
+
+    def test_timeout_heavy(self):
+        # most trials outlast a 100-tick horizon, so the counters hinge on
+        # which swaps and readouts happen before it
+        self.compare(dataclasses.replace(PROJECTION, n_levels=3), 100)

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -172,12 +173,21 @@ class TestSimulate:
 
         def no_trial(*args):
             raise AssertionError("a trial ran")
-        monkeypatch.setattr(chain_sim, "_trial", no_trial)
+        monkeypatch.setattr(chain_sim, "_round", no_trial)
         out = tmp_path / "out"
         assert run(["simulate", "--config", config, "--trials", 1, "--out-dir", out]) == 3
         assert "stalled" in capsys.readouterr().err
         assert not (out / "trace.json").exists()
         assert not (out / "manifest.json").exists()
+
+    def test_trial_over_the_round_budget_exits_three(self, tmp_path, monkeypatch, capsys):
+        # a 6-level trial fits a 64-link round only if all 63 swaps succeed at once
+        monkeypatch.setattr(chain_sim, "MAX_ROUND_LINKS", 64)
+        config = write_chain_config(tmp_path, n_levels=6)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", config, "--out-dir", out]) == 3
+        assert "MAX_ROUND_LINKS = 64" in capsys.readouterr().err
+        assert not (out / "trace.json").exists()
 
     def test_timeout_dominated_run_exits_four(self, tmp_path):
         config = write_chain_config(tmp_path, chi=1e-5)
@@ -430,6 +440,17 @@ class TestFit:
         out = tmp_path / "out"
         assert run(["fit", csv, "--model", model, "--out-dir", out]) == 3
         assert not out.exists()
+
+    def test_overflowing_fit_prints_only_its_error_line(self, tmp_path, capsys):
+        # numpy's overflow warnings would reach stderr ahead of the error line
+        csv = tmp_path / "data.csv"
+        csv.write_text("x,y\n1e200,1e200\n2e200,2e200\n3e200,3e200\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["fit", csv, "--model", "linear", "--out-dir", tmp_path / "out"]) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=100, deadline=None)

@@ -84,8 +84,8 @@ def _occupation(params, excited, trains=1):
 def _herald(params, occupation, trains, seed):
     """Stokes measurement and herald selection on one stream, as run_link_trials does."""
     rng = substream(seed, 0)
-    window, click1, click2, survivors = _stokes_clicks(*occupation, trains, params, rng)
-    return _first_herald(window, click1, click2, survivors, params.mode_count, rng)
+    window, click1, click2 = _stokes_clicks(*occupation, trains, params, rng)
+    return _first_herald(window, click1, click2, params.mode_count, rng)
 
 
 class TestSampleWriteTrain:
@@ -126,7 +126,7 @@ class TestSampleWriteTrain:
 class TestHeraldBsm:
     def test_no_excitation_no_dark_gives_no_herald(self):
         params = LinkParams(chi=0.01)
-        train, _, _, _ = _herald(params, _occupation(params, {}, trains=100), 100, 3)
+        train, _, _ = _herald(params, _occupation(params, {}, trains=100), 100, 3)
         assert train.size == 0
 
     def test_single_photon_heralds_its_window_with_fair_split(self):
@@ -134,10 +134,9 @@ class TestHeraldBsm:
         params = LinkParams(chi=0.01, eta_td=1.0)
         trials = 4000
         occupation = _occupation(params, {(L, 3): 1}, trains=trials)
-        train, mode, detector, double = _herald(params, occupation, trials, 0)
+        train, mode, detector = _herald(params, occupation, trials, 0)
         assert np.array_equal(train, np.arange(trials))
         assert (mode == 3).all()
-        assert not double.any()
         assert abs((detector == 0).mean() - 0.5) < 3 * binom_sigma(0.5, trials)
 
     def test_sign_convention_follows_detector(self):
@@ -147,9 +146,7 @@ class TestHeraldBsm:
         window = np.array([1, 3])
         click1 = np.array([True, False])
         click2 = np.array([False, True])
-        survivors = np.ones(2, dtype=np.int64)
-        train, mode, detector, _ = _first_herald(window, click1, click2, survivors, 2,
-                                                 substream(12, 0))
+        train, mode, detector = _first_herald(window, click1, click2, 2, substream(12, 0))
         assert train.tolist() == [0, 1]
         assert mode.tolist() == [1, 1]
         assert detector.tolist() == [0, 1]
@@ -157,16 +154,15 @@ class TestHeraldBsm:
     def test_earliest_window_wins(self):
         params = LinkParams(chi=0.01, eta_td=1.0)
         occupation = _occupation(params, {(L, 2): 1, (R, 9): 1}, trains=50)
-        train, mode, _, _ = _herald(params, occupation, 50, 0)
+        train, mode, _ = _herald(params, occupation, 50, 0)
         assert train.size == 50
         assert (mode == 2).all()
 
-    def test_two_photons_flag_double_excitation(self):
+    def test_two_photon_window_heralds_its_mode(self):
         params = LinkParams(chi=0.01, eta_td=1.0)
         occupation = _occupation(params, {(L, 5): 1, (R, 5): 1})
-        train, mode, _, double = _herald(params, occupation, 1, 4)
+        train, mode, _ = _herald(params, occupation, 1, 4)
         assert train.tolist() == [0] and mode[0] == 5
-        assert double[0]
 
     def test_herald_probability_matches_closed_form(self, calibrated):
         tally = run_link_trials(calibrated, 1e-6, 200_000, substream(11, 0))

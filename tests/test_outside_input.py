@@ -8,7 +8,8 @@ on exit 0, print a finite rate.
 forms or to `sim_config()`, which must raise ConfigError/ParameterError or
 return finite values. `simulate` and `link-experiment` are not run on drawn
 values: a swap that almost never succeeds under a huge finite time guard
-keeps a trial rebuilding its segments for as many ticks as the guard allows.
+lets each trial draw up to a round's `chain_sim.MAX_ROUND_LINKS` links, so a
+run of many trials takes minutes.
 """
 
 import contextlib
