@@ -49,8 +49,8 @@ EXIT_NO_CONVERGENCE = 5
 # version of the manifest.json layout
 ARTIFACT_VERSION = "1.0"
 
-# Link slots (train x mode x node) one link-experiment may draw: about 3 min
-# at the ~1.7 ns a slot of a 2-core Xeon, where the shipped config draws 2.6e8.
+# Link slots (train x mode x node) one link-experiment may draw: about 1 min at the
+# ~0.6 ns a slot of the shipped config (2.6e8 slots) on a 2-core Xeon, more if more are lit.
 MAX_LINK_SLOTS = 10**11
 
 

@@ -15,19 +15,21 @@ Interference coherence enters only through the closed-form fringe functions
 (`fringe_expectation`, `fringe_visibility`), never through sampling.
 
 Sampling is one vectorized pipeline (`run_link_trials`) over a batch of trains,
-a function of (params, rng). It is sparse: at chi ~ 1% almost every (train, node,
-mode) slot is vacuum, so the stages carry only what can matter. The excited
-slots are drawn as a Bernoulli(1 - P(0)) process over the flattened slot index
-(a binomial count, then uniform positions) and each gets k = 1 or 2; Stokes
-survivors are drawn on those slots alone and summed per window; dark clicks,
-when enabled, are drawn the same way per detector over the windows. A train's
-herald is its earliest clicking window, and the readout looks up k at that
-window in the sorted excited slots. The law of every tally is that of i.i.d.
-slots and windows, which the closed forms below state exactly.
+a function of (params, rng). It is sparse: at chi ~ 1% almost no (train, node,
+mode) slot sends a Stokes photon to the beam splitter. The lit slots, where at
+least one photon survives, are drawn as a Bernoulli(q_lit) process over the
+flattened slot index, each with (k, photons) from its law given lit; dark
+clicks, when enabled, are drawn the same way per detector over the windows. A
+train's herald is its earliest clicking window. Only heralded trains draw their
+unlit slots: k at the herald window from its law given no survivor, and the
+other excited unlit slots as one binomial count, exact since slots are
+independent. Every tally thus has the law of i.i.d. slots and windows, which
+the closed forms below state exactly.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -172,11 +174,26 @@ class PmnTable:
 # ---------------------------------------------------------------------------
 # sampling stages, sparse over one chunk of trains
 #
-# A slot is one (train, node, mode), flattened as (2 * train + node) * N + mode
-# with node 0 = L and 1 = R; a window is one (train, mode), flattened as
-# train * N + mode. The stages carry only the excited slots and the clicking
-# windows, each in ascending index order.
+# A slot is one (train, node, mode), flattened as (train * N + mode) * 2 + node
+# with node 0 = L and 1 = R; its window (train, mode) is slot >> 1. A slot is
+# lit when one of its Stokes photons survives the path. The stages carry only
+# the lit slots and the clicking windows, each in ascending index order.
 # ---------------------------------------------------------------------------
+
+def _slot_law(params: LinkParams) -> np.ndarray:
+    """(3, 3) joint law of a slot's occupation k (row) and surviving Stokes
+    photons j (column): P(k) * C(k, j) * eta_td^j * (1 - eta_td)^(k - j)."""
+    probs, eta = params.occupation_probs(), params.eta_td
+    return np.array([[probs[k] * math.comb(k, j) * eta ** j * (1.0 - eta) ** (k - j)
+                      if j <= k else 0.0 for j in range(MAX_EXCITATION + 1)]
+                     for k in range(MAX_EXCITATION + 1)])
+
+
+def _categorical(weights: np.ndarray, size, rng: np.random.Generator) -> np.ndarray:
+    """Cell indices drawn with probability proportional to ``weights``, one uniform each."""
+    cum = np.cumsum(weights)
+    return np.searchsorted(cum[:-1], rng.random(size) * cum[-1], side="right")
+
 
 def _bernoulli_positions(size: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Sorted indices in range(size) of i.i.d. Bernoulli(p) successes.
@@ -187,56 +204,38 @@ def _bernoulli_positions(size: int, p: float, rng: np.random.Generator) -> np.nd
     return np.sort(rng.choice(size, count, replace=False, shuffle=False))
 
 
-def _group(keys: np.ndarray):
-    """Sorted distinct non-negative ``keys`` and the group index of each key.
+def _sample_lit(params: LinkParams, n_trains: int, rng: np.random.Generator):
+    """Lit slots of ``n_trains`` write trains: (slot, k, photons), slot ascending.
 
-    The same as np.unique(keys, return_inverse=True), by one stable sort;
-    np.unique's hash path is orders of magnitude slower on large int arrays.
+    Each slot is lit (j >= 1) independently with the slot law's mass there, and
+    a lit slot's (k, j) follows the slot law given j >= 1.
     """
-    order = np.argsort(keys, kind="stable")
-    new = np.diff(keys[order], prepend=-1) != 0
-    inverse = np.empty(keys.size, dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return keys[order][new], inverse
+    lit_law = _slot_law(params)[:, 1:].ravel()     # cells (k, j) = (c // 2, c % 2 + 1)
+    slot = _bernoulli_positions(n_trains * params.mode_count * 2, lit_law.sum(), rng)
+    cell = _categorical(lit_law, slot.size, rng)
+    return slot, cell // 2, cell % 2 + 1
 
 
-def _sample_excitations(params: LinkParams, n_trains: int, rng: np.random.Generator):
-    """Excited slots of ``n_trains`` write trains and their occupation numbers.
-
-    Each slot is excited with probability 1 - P(0), independently, and then
-    holds k = 2 with probability P(2) / (1 - P(0)), else k = 1. Returns
-    (slot, k): the sorted excited slot indices and their int64 k.
-    """
-    probs = params.occupation_probs()
-    p_excited = probs[1] + probs[2]
-    slot = _bernoulli_positions(n_trains * 2 * params.mode_count, p_excited, rng)
-    k = 1 + (rng.random(slot.size) * p_excited < probs[2])
-    return slot, k
-
-
-def _stokes_clicks(slot: np.ndarray, k: np.ndarray, n_trains: int, params: LinkParams,
+def _stokes_clicks(slot: np.ndarray, photons: np.ndarray, n_trains: int, params: LinkParams,
                    rng: np.random.Generator):
     """Per-window Stokes measurement of the windows that click.
 
-    Each photon independently survives the path with probability eta_td; a
-    window's survivors from both nodes exit the beam splitter toward either
-    detector with probability 1/2 each; dark counts add false clicks per
-    detector and window. Returns (window, click1, click2) over the windows
+    A window's surviving photons from both nodes exit the beam splitter toward
+    either detector with probability 1/2 each; dark counts add false clicks
+    per detector and window. Returns (window, click1, click2) over the windows
     where either detector clicked, window ascending.
     """
     n_modes = params.mode_count
-    photons = rng.binomial(k, params.eta_td)
-    lit = photons > 0
-    window, inverse = _group(slot[lit] // (2 * n_modes) * n_modes + slot[lit] % n_modes)
-    survivors = np.bincount(inverse, weights=photons[lit],
-                            minlength=window.size).astype(np.int64)
+    first = np.flatnonzero(np.diff(slot >> 1, prepend=-1))
+    window, survivors = slot[first] >> 1, np.add.reduceat(photons, first)
     to_d1 = rng.binomial(survivors, 0.5)
     click1 = to_d1 > 0
     click2 = survivors > to_d1
     if params.dark_count_prob > 0.0:
         dark1 = _bernoulli_positions(n_trains * n_modes, params.dark_count_prob, rng)
         dark2 = _bernoulli_positions(n_trains * n_modes, params.dark_count_prob, rng)
-        merged = _group(np.concatenate([window, dark1, dark2]))[0]
+        merged = np.sort(np.concatenate([window, dark1, dark2]))
+        merged = merged[np.diff(merged, prepend=-1) != 0]
         spread = np.zeros((2, merged.size), dtype=bool)
         spread[:, np.searchsorted(merged, window)] = click1, click2
         spread[0, np.searchsorted(merged, dark1)] = True
@@ -267,19 +266,15 @@ def _first_herald(window: np.ndarray, click1: np.ndarray, click2: np.ndarray,
     return train[first], window[first] % mode_count, detector
 
 
-def _occupation_at(slot: np.ndarray, k: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """k of each queried slot: looked up in the sorted excited slots, 0 if absent."""
-    at = np.searchsorted(slot, query)
-    hit = np.append(slot, -1)[at] == query    # a query past the last slot meets -1
-    return np.where(hit, np.append(k, 0)[at], 0)
-
-
 def _readout_counts(slot: np.ndarray, k: np.ndarray, train: np.ndarray, mode: np.ndarray,
                     storage_time: float, params: LinkParams, rng: np.random.Generator):
     """Anti-Stokes click counts (m at aS_R, n at aS_L) for heralded trains.
 
-    ``train`` and ``mode`` name each heralded train and its herald window. The
-    addressed mode's excitations each convert and get detected with
+    ``slot`` and ``k`` are the chunk's lit slots; ``train`` and ``mode`` name
+    each heralded train and its herald window. An unlit slot's k follows the
+    slot law given j = 0, so it is excited with probability q_pre, and the
+    train's other excited unlit slots are one binomial count.
+    The addressed mode's excitations each convert and get detected with
     probability R0*exp(-t/tau0)*eta_D; every other excited (node, mode) slot
     of the train leaks one background photon with probability
     crosstalk_eps*eta_D, split uniformly between the two collected fields;
@@ -287,15 +282,19 @@ def _readout_counts(slot: np.ndarray, k: np.ndarray, train: np.ndarray, mode: np
     """
     n_modes = params.mode_count
     p_ret = params.retrieval_prob(storage_time)
-    first_slot = train * (2 * n_modes)
-    k_l = _occupation_at(slot, k, first_slot + mode)
-    k_r = _occupation_at(slot, k, first_slot + n_modes + mode)
-    m = rng.binomial(k_r, p_ret)   # node R reads out into aS_R
-    n = rng.binomial(k_l, p_ret)   # node L reads out into aS_L
+    unlit_law = _slot_law(params)[:, 0]
+    herald = (train * n_modes + mode) * 2     # the herald window's L slot; its R slot is next
+    lo, at, hi = np.searchsorted(slot, [train * 2 * n_modes, herald, (train + 1) * 2 * n_modes])
+    padded_slot, padded_k = np.append(slot, -1), np.append(k, 0)   # -1 and 0 past the end
+    lit_l = padded_slot[at] == herald
+    lit_r = padded_slot[at + lit_l] == herald + 1
+    k_unlit = _categorical(unlit_law, (train.size, 2), rng)
+    m = rng.binomial(np.where(lit_r, padded_k[at + lit_l], k_unlit[:, 1]), p_ret)  # R into aS_R
+    n = rng.binomial(np.where(lit_l, padded_k[at], k_unlit[:, 0]), p_ret)          # L into aS_L
 
-    excited = (np.searchsorted(slot, first_slot + 2 * n_modes)
-               - np.searchsorted(slot, first_slot))
-    other_excited = excited - (k_l > 0) - (k_r > 0)
+    lit_other = hi - lo - lit_l - lit_r
+    q_pre = 1.0 - unlit_law[0] / unlit_law.sum()
+    other_excited = lit_other + rng.binomial(2 * n_modes - 2 - lit_other, q_pre)
     leaked = rng.binomial(other_excited, params.crosstalk_eps * params.detection_eff)
     to_r = rng.binomial(leaked, 0.5)
     m = m + to_r
@@ -358,8 +357,8 @@ def run_link_trials(params: LinkParams, storage_time: float, trains: int,
     window_counts = np.zeros(2 * n_modes, dtype=np.int64)
     for done in range(0, trains, chunk):
         n = min(chunk, trains - done)
-        slot, k = _sample_excitations(params, n, rng)
-        window, click1, click2 = _stokes_clicks(slot, k, n, params, rng)
+        slot, k, photons = _sample_lit(params, n, rng)
+        window, click1, click2 = _stokes_clicks(slot, photons, n, params, rng)
         train, mode, detector = _first_herald(window, click1, click2, n_modes, rng)
         m, n_clicks = _readout_counts(slot, k, train, mode, storage_time, params, rng)
         heralded += train.size
@@ -395,7 +394,7 @@ def _herald_composition(params: LinkParams) -> _HeraldComposition:
     dark_pass = (1.0 - params.dark_count_prob) ** 2
     ks = np.arange(MAX_EXCITATION + 1)
     # per-node probability that none of its photons survives to a detector
-    g = float((probs * (1.0 - params.eta_td) ** ks).sum())
+    g = float(_slot_law(params)[:, 0].sum())
     no_click = g * g * dark_pass
 
     click = 1.0 - (1.0 - params.eta_td) ** (ks[:, None] + ks[None, :]) * dark_pass

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,37 +66,46 @@ def test_criterion_1_multiplexed_success_oracle():
           f"9 grid points within 3 sigma={not failures}, runtime {clock.elapsed:.2f}s < 5s")
 
 
-def test_criterion_2_mode_scaling():
-    """P_D^(N) is linear through the origin; P_D^(12)/p_D is 12 +/- error."""
-    with Stopwatch() as clock:
-        params = calibrated_link_params(crosstalk_eps=0.0)
-        window_budget = 4_000_000
-        probes = []
-        for index, n in enumerate(range(1, 13)):
-            scan = dataclasses.replace(params, mode_count=n)
-            tally = run_link_trials(scan, 1e-6, window_budget // n,
-                                    substream(SEED, 2, index))
-            p_d = tally.detection_probability
-            stderr = math.sqrt(p_d / tally.trains)
-            probes.append((n, p_d, stderr))
-        x = np.array([p[0] for p in probes], dtype=float)
-        y = np.array([p[1] for p in probes])
-        w = np.array([1.0 / p[2] ** 2 for p in probes])
-        fit = fit_linear_origin(Samples(x, y, w))
-        slope, slope_err = fit.params["slope"], fit.stderr["slope"]
-        configured = expected_window_detection(params)
+def mode_scaling(seed):
+    """Criterion 2's P_D^(N) scan on substreams (seed, 2, index) and its three checks."""
+    params = calibrated_link_params(crosstalk_eps=0.0)
+    window_budget = 4_000_000
+    probes = []
+    for index, n in enumerate(range(1, 13)):
+        scan = dataclasses.replace(params, mode_count=n)
+        tally = run_link_trials(scan, 1e-6, window_budget // n,
+                                substream(seed, 2, index))
+        p_d = tally.detection_probability
+        stderr = math.sqrt(p_d / tally.trains)
+        probes.append((n, p_d, stderr))
+    x = np.array([p[0] for p in probes], dtype=float)
+    y = np.array([p[1] for p in probes])
+    w = np.array([1.0 / p[2] ** 2 for p in probes])
+    fit = fit_linear_origin(Samples(x, y, w))
+    slope, slope_err = fit.params["slope"], fit.stderr["slope"]
+    configured = expected_window_detection(params)
 
-        ratio = probes[11][1] / probes[0][1]
-        ratio_err = ratio * math.sqrt((probes[11][2] / probes[11][1]) ** 2
-                                      + (probes[0][2] / probes[0][1]) ** 2)
+    ratio = probes[11][1] / probes[0][1]
+    ratio_err = ratio * math.sqrt((probes[11][2] / probes[11][1]) ** 2
+                                  + (probes[0][2] / probes[0][1]) ** 2)
     slope_ok = abs(slope - configured) <= slope_err
     ratio_ok = abs(ratio - 12.0) <= 2 * ratio_err
     # the reference measurement of the 12-mode gain was 11.79 +/- 0.35
     bracket_ok = ratio - 2 * ratio_err <= 11.79 + 0.35 and ratio + 2 * ratio_err >= 11.79 - 0.35
-    ok = slope_ok and ratio_ok and bracket_ok and clock.elapsed < 30.0
+    return SimpleNamespace(slope=slope, slope_err=slope_err, configured=configured,
+                           ratio=ratio, ratio_err=ratio_err, slope_ok=slope_ok,
+                           ratio_ok=ratio_ok, bracket_ok=bracket_ok,
+                           ok=slope_ok and ratio_ok and bracket_ok)
+
+
+def test_criterion_2_mode_scaling():
+    """P_D^(N) is linear through the origin; P_D^(12)/p_D is 12 +/- error."""
+    with Stopwatch() as clock:
+        r = mode_scaling(SEED)
+    ok = r.ok and clock.elapsed < 30.0
     check("criterion 2 (mode scaling)", ok,
-          f"slope {slope:.4e} vs configured {configured:.4e} (stderr {slope_err:.1e}), "
-          f"ratio {ratio:.2f} +/- {ratio_err:.2f} vs 12 and 11.79 +/- 0.35, "
+          f"slope {r.slope:.4e} vs configured {r.configured:.4e} (stderr {r.slope_err:.1e}), "
+          f"ratio {r.ratio:.2f} +/- {r.ratio_err:.2f} vs 12 and 11.79 +/- 0.35, "
           f"runtime {clock.elapsed:.1f}s < 30s")
 
 
@@ -115,19 +125,28 @@ def test_criterion_3_retrieval_decay_fit():
           f"runtime {clock.elapsed:.2f}s < 1s")
 
 
-def test_criterion_4_concurrence_calibration():
-    """Calibrated pipeline reproduces C(1us) = 0.040(2)e1 and C(150us) <= 0.01."""
-    with Stopwatch() as clock:
-        params = calibrated_link_params()
-        short = storage_time_scan(params, [1e-6], trains=1_500_000, seed=SEED + 4,
-                                  phases=12, shots_per_phase=50_000)[0]
-        long = storage_time_scan(params, [150e-6], trains=12_000_000, seed=SEED + 40,
-                                 phases=12, shots_per_phase=50_000)[0]
+def concurrence_calibration(seed):
+    """Criterion 4's two storage points, at roots seed + 4 and seed + 40, and its checks."""
+    params = calibrated_link_params()
+    short = storage_time_scan(params, [1e-6], trains=1_500_000, seed=seed + 4,
+                              phases=12, shots_per_phase=50_000)[0]
+    long = storage_time_scan(params, [150e-6], trains=12_000_000, seed=seed + 40,
+                             phases=12, shots_per_phase=50_000)[0]
     c1_ok = abs(short.concurrence - 0.040) <= 0.02
     c150_ok = long.concurrence <= 0.01
     v1_ok = abs(short.visibility - 0.795) <= 3 * short.visibility_stderr
     v150_ok = abs(long.visibility - 0.700) <= 0.024 + 3 * long.visibility_stderr
-    ok = c1_ok and c150_ok and v1_ok and v150_ok and clock.elapsed < 60.0
+    return SimpleNamespace(short=short, long=long, c1_ok=c1_ok, c150_ok=c150_ok,
+                           v1_ok=v1_ok, v150_ok=v150_ok,
+                           ok=c1_ok and c150_ok and v1_ok and v150_ok)
+
+
+def test_criterion_4_concurrence_calibration():
+    """Calibrated pipeline reproduces C(1us) = 0.040(2)e1 and C(150us) <= 0.01."""
+    with Stopwatch() as clock:
+        r = concurrence_calibration(SEED)
+    short, long = r.short, r.long
+    ok = r.ok and clock.elapsed < 60.0
     check("criterion 4 (concurrence calibration)", ok,
           f"C(1us) {short.concurrence:.4f} +/- {short.concurrence_stderr:.4f} in 0.040 +/- 0.02, "
           f"C(150us) {long.concurrence:.4f} <= 0.01, "
@@ -135,31 +154,39 @@ def test_criterion_4_concurrence_calibration():
           f"runtime {clock.elapsed:.1f}s < 60s")
 
 
+def crosstalk_monotonicity(seed):
+    """Criterion 5's two mode scans, at roots seed + 5 and seed + 50, and its checks."""
+    t = 1e-6
+    budget = 6_000_000
+    with_xt = mode_count_scan(calibrated_link_params(), range(1, 13), t,
+                              budget, seed + 5, phases=12, shots_per_phase=20_000)
+    without = mode_count_scan(calibrated_link_params(crosstalk_eps=0.0),
+                              range(1, 13), t, budget, seed + 50,
+                              phases=12, shots_per_phase=20_000)
+
+    def step_sigma(a, b):
+        return math.sqrt(a.concurrence_stderr ** 2 + b.concurrence_stderr ** 2)
+
+    monotone = all(b.concurrence <= a.concurrence + 3 * step_sigma(a, b)
+                   for a, b in zip(with_xt, with_xt[1:]))
+    drop = with_xt[0].concurrence - with_xt[-1].concurrence
+    drop_sig = drop > 3 * step_sigma(with_xt[0], with_xt[-1])
+    mean_c = float(np.mean([p.concurrence for p in without]))
+    flat = all(abs(p.concurrence - mean_c) <= 3 * p.concurrence_stderr
+               for p in without)
+    return SimpleNamespace(drop=drop, monotone=monotone, drop_sig=drop_sig, flat=flat,
+                           ok=monotone and drop_sig and flat)
+
+
 def test_criterion_5_crosstalk_monotonicity():
     """Estimated concurrence falls with mode count when crosstalk is on."""
     with Stopwatch() as clock:
-        t = 1e-6
-        budget = 6_000_000
-        with_xt = mode_count_scan(calibrated_link_params(), range(1, 13), t,
-                                  budget, SEED + 5, phases=12, shots_per_phase=20_000)
-        without = mode_count_scan(calibrated_link_params(crosstalk_eps=0.0),
-                                  range(1, 13), t, budget, SEED + 50,
-                                  phases=12, shots_per_phase=20_000)
-
-        def step_sigma(a, b):
-            return math.sqrt(a.concurrence_stderr ** 2 + b.concurrence_stderr ** 2)
-
-        monotone = all(b.concurrence <= a.concurrence + 3 * step_sigma(a, b)
-                       for a, b in zip(with_xt, with_xt[1:]))
-        drop = with_xt[0].concurrence - with_xt[-1].concurrence
-        drop_sig = drop > 3 * step_sigma(with_xt[0], with_xt[-1])
-        mean_c = float(np.mean([p.concurrence for p in without]))
-        flat = all(abs(p.concurrence - mean_c) <= 3 * p.concurrence_stderr
-                   for p in without)
-    ok = monotone and drop_sig and flat and clock.elapsed < 60.0
+        r = crosstalk_monotonicity(SEED)
+    ok = r.ok and clock.elapsed < 60.0
     check("criterion 5 (crosstalk monotonicity)", ok,
-          f"noise-aware non-increase={monotone}, total drop {drop:.4f} significant={drop_sig}, "
-          f"crosstalk-free flat={flat}, runtime {clock.elapsed:.1f}s < 60s")
+          f"noise-aware non-increase={r.monotone}, total drop {r.drop:.4f} "
+          f"significant={r.drop_sig}, crosstalk-free flat={r.flat}, "
+          f"runtime {clock.elapsed:.1f}s < 60s")
 
 
 def test_criterion_6a_projection_rate_at_least_one_hz():
