@@ -1,4 +1,4 @@
-"""Calibrated default link parameters and the solver that produced them.
+"""Calibrated default link parameters.
 
 The benchmark link operates at 1% excitation with 12 temporal modes. Three
 knobs are not directly measurable and are instead solved from the closed-form
@@ -13,25 +13,18 @@ and 0.700 at 150 us) exactly would need a cap of ~1.008, i.e. the measured
 visibility decay is slightly slower than pure background dilution allows, so
 the model pins the 1 us value exactly and lands at 0.721 at 150 us, inside
 the 0.700 +/- 0.024 reference uncertainty. The solved values are frozen below;
-`test_calibration` re-runs the solver and checks the frozen numbers.
+the solver lives in `tests/test_calibration.py`, which re-runs it and checks
+the frozen numbers.
 """
 
 from __future__ import annotations
 
-from .errors import ParameterError
-from .link_physics import (
-    LinkParams,
-    expected_pmn,
-    expected_window_detection,
-    fringe_visibility,
-)
-from .metrics import concurrence
+from .link_physics import LinkParams
 
 __all__ = [
     "CALIBRATION_TARGETS",
     "CALIBRATED",
     "calibrated_link_params",
-    "solve_calibration",
 ]
 
 # reference observables the calibration reproduces
@@ -46,7 +39,7 @@ CALIBRATION_TARGETS = {
     "memory_lifetime": 0.3e-3,
 }
 
-# frozen output of solve_calibration()
+# frozen output of the solver in tests/test_calibration.py
 CALIBRATED = {
     "eta_td": 0.12390072417495246,
     "crosstalk_eps": 0.6664370850259549,
@@ -69,59 +62,3 @@ def calibrated_link_params(**overrides) -> LinkParams:
     )
     fields.update(overrides)
     return LinkParams(**fields)
-
-
-def _bisect(fn, lo: float, hi: float, iterations: int = 80) -> float:
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ParameterError(f"no sign change on [{lo}, {hi}]: f={flo:.3g}..{fhi:.3g}")
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def solve_calibration() -> dict[str, float]:
-    """Re-derive the calibrated knobs from the closed-form model.
-
-    The three equations decouple: eta_td only enters the Stokes stage;
-    the visibility ratio is independent of detection_eff (both signal and
-    crosstalk background scale with it); detection_eff then sets the
-    concurrence through the Pmn balance.
-    """
-    eta_td = _bisect(
-        lambda e: expected_window_detection(calibrated_link_params(eta_td=e))
-        - CALIBRATION_TARGETS["single_mode_detection"],
-        1e-6, 0.999)
-
-    def vis_gap(eps):
-        params = calibrated_link_params(eta_td=eta_td, crosstalk_eps=eps, detection_eff=0.5)
-        return fringe_visibility(params, 1e-6)[1] - CALIBRATION_TARGETS["visibility_1us"]
-
-    crosstalk_eps = _bisect(vis_gap, 1e-9, 1.0)
-
-    def conc_gap(eta_d):
-        params = calibrated_link_params(eta_td=eta_td, crosstalk_eps=crosstalk_eps,
-                                        detection_eff=eta_d)
-        vis = fringe_visibility(params, 1e-6)[1]
-        return (concurrence(expected_pmn(params, 1e-6), vis)
-                - CALIBRATION_TARGETS["concurrence_1us"])
-
-    detection_eff = _bisect(conc_gap, 0.01, 0.99)
-
-    return {
-        "eta_td": eta_td,
-        "crosstalk_eps": crosstalk_eps,
-        "detection_eff": detection_eff,
-        "visibility_cap": 1.0,
-    }

@@ -50,7 +50,7 @@ EXIT_NO_CONVERGENCE = 5
 ARTIFACT_VERSION = "1.0"
 
 # Link slots (train x mode x node) one link-experiment may draw: about 1 min at the
-# ~0.6 ns a slot of the shipped config (2.6e8 slots) on a 2-core Xeon, more if more are lit.
+# ~0.55 ns a slot of the shipped config (2.6e8 slots) on a 2-core Xeon, more if more are lit.
 MAX_LINK_SLOTS = 10**11
 
 

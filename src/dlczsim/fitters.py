@@ -248,15 +248,17 @@ def fit_sinusoid(samples: Samples) -> FitResult:
 
     design = np.column_stack([np.ones_like(samples.x), np.cos(samples.x), np.sin(samples.x)])
     sw = np.sqrt(samples.weight)
-    scaled = design * sw[:, None]
-    if np.linalg.cond(scaled) > 1e10:
+    # one SVD of the weighted design gives the condition number, the
+    # coefficients and (D^T W D)^-1 = V diag(s^-2) V^T
+    u, s, vt = np.linalg.svd(design * sw[:, None], full_matrices=False)
+    if s[0] / s[-1] > 1e10:
         raise ParameterError("phase sampling leaves the fringe parameters degenerate")
-    coeff, *_ = np.linalg.lstsq(scaled, samples.y * sw, rcond=None)
+    coeff = vt.T @ (u.T @ (samples.y * sw) / s)
     c0, c1, c2 = (float(c) for c in coeff)
 
     residual = samples.y - design @ coeff
     rss = float(samples.weight @ residual ** 2)
-    cov = _covariance(design, samples.weight, rss)
+    cov = (vt.T / s ** 2) @ vt * (rss / (samples.x.size - 3))
 
     amplitude = c0
     modulus = math.hypot(c1, c2)

@@ -190,9 +190,29 @@ def _slot_law(params: LinkParams) -> np.ndarray:
 
 
 def _categorical(weights: np.ndarray, size, rng: np.random.Generator) -> np.ndarray:
-    """Cell indices drawn with probability proportional to ``weights``, one uniform each."""
+    """Cell indices drawn with probability proportional to ``weights``, one uniform each.
+
+    A cell index is the count of cumulative edges at or below the uniform,
+    which is what ``searchsorted(edges, u, side="right")`` returns.
+    """
     cum = np.cumsum(weights)
-    return np.searchsorted(cum[:-1], rng.random(size) * cum[-1], side="right")
+    u = rng.random(size) * cum[-1]
+    cell = np.zeros(u.shape, dtype=np.uint8)   # uint8 += uint8 is numpy's fast loop
+    for edge in cum[:-1]:
+        cell += (u >= edge).view(np.uint8)
+    return cell.astype(np.intp)
+
+
+def _binomial(counts: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
+    """``rng.binomial(counts, p)``, drawn only where ``counts`` > 0.
+
+    numpy returns 0 for a zero count without touching the generator, so the
+    values and the generator state afterwards are those of the full call.
+    """
+    out = np.zeros_like(counts)
+    drawn = np.flatnonzero(counts)
+    out[drawn] = rng.binomial(counts[drawn], p)
+    return out
 
 
 def _bernoulli_positions(size: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -222,12 +242,14 @@ def _stokes_clicks(slot: np.ndarray, photons: np.ndarray, n_trains: int, params:
 
     A window's surviving photons from both nodes exit the beam splitter toward
     either detector with probability 1/2 each; dark counts add false clicks
-    per detector and window. Returns (window, click1, click2) over the windows
-    where either detector clicked, window ascending.
+    per detector and window. Returns (window, start, click1, click2) over the
+    windows where either detector clicked, window ascending; ``start`` indexes
+    the window's first lit slot in ``slot``, or the next lit slot where the
+    window has none. Every lit window clicks.
     """
     n_modes = params.mode_count
-    first = np.flatnonzero(np.diff(slot >> 1, prepend=-1))
-    window, survivors = slot[first] >> 1, np.add.reduceat(photons, first)
+    start = np.flatnonzero(np.diff(slot >> 1, prepend=-1))
+    window, survivors = slot[start] >> 1, np.add.reduceat(photons, start)
     to_d1 = rng.binomial(survivors, 0.5)
     click1 = to_d1 > 0
     click2 = survivors > to_d1
@@ -241,39 +263,43 @@ def _stokes_clicks(slot: np.ndarray, photons: np.ndarray, n_trains: int, params:
         spread[0, np.searchsorted(merged, dark1)] = True
         spread[1, np.searchsorted(merged, dark2)] = True
         window, (click1, click2) = merged, spread
-    return window, click1, click2
+        start = np.searchsorted(slot, 2 * window)
+    return window, start, click1, click2
 
 
 def _first_herald(window: np.ndarray, click1: np.ndarray, click2: np.ndarray,
                   mode_count: int, rng: np.random.Generator):
     """Earliest-window-wins herald selection.
 
-    A train's herald is its earliest clicking window. Returns (train, mode,
-    detector code 0/1), one entry per heralded train, train ascending. Later
-    clicks in the same train are discarded (the read pulse is already committed
-    by feedforward). Detector code 0 is D_S1 and heralds the + superposition,
-    code 1 is D_S2 and heralds the - one. When both detectors click in the
-    winning window the recorded detector is chosen uniformly (whichever latch
-    fired first in hardware; the model has no sub-window timing). A multi-photon
-    window heralds like any other: no experiment could reject it then.
+    A train's herald is its earliest clicking window. Returns (row, detector
+    code 0/1), one entry per heralded train, train ascending; ``row`` indexes
+    the herald window in the input arrays. Later clicks in the same train are
+    discarded (the read pulse is already committed by feedforward). Detector
+    code 0 is D_S1 and heralds the + superposition, code 1 is D_S2 and heralds
+    the - one. When both detectors click in the winning window the recorded
+    detector is chosen uniformly (whichever latch fired first in hardware; the
+    model has no sub-window timing). A multi-photon window heralds like any
+    other: no experiment could reject it then.
     """
-    train = window // mode_count
-    first = np.flatnonzero(np.diff(train, prepend=-1))
-    c1, c2 = click1[first], click2[first]
+    row = np.flatnonzero(np.diff(window // mode_count, prepend=-1))
+    c1, c2 = click1[row], click2[row]
     detector = (~c1).astype(np.int64)       # a lone click fixes the code
     tie = c1 & c2
     detector[tie] = rng.random(int(tie.sum())) < 0.5
-    return train[first], window[first] % mode_count, detector
+    return row, detector
 
 
-def _readout_counts(slot: np.ndarray, k: np.ndarray, train: np.ndarray, mode: np.ndarray,
-                    storage_time: float, params: LinkParams, rng: np.random.Generator):
+def _readout_counts(slot: np.ndarray, k: np.ndarray, herald: np.ndarray, at: np.ndarray,
+                    lit: np.ndarray, storage_time: float, params: LinkParams,
+                    rng: np.random.Generator):
     """Anti-Stokes click counts (m at aS_R, n at aS_L) for heralded trains.
 
-    ``slot`` and ``k`` are the chunk's lit slots; ``train`` and ``mode`` name
-    each heralded train and its herald window. An unlit slot's k follows the
-    slot law given j = 0, so it is excited with probability q_pre, and the
-    train's other excited unlit slots are one binomial count.
+    ``slot`` and ``k`` are the chunk's lit slots. Per heralded train,
+    ``herald`` is its herald window, ``at`` indexes that window's first lit
+    slot in ``slot`` (or the next lit slot where it has none), and ``lit`` is
+    the train's count of lit slots. An unlit slot's k follows the slot law
+    given j = 0, so it is excited with probability q_pre, and the train's
+    other excited unlit slots are one binomial count.
     The addressed mode's excitations each convert and get detected with
     probability R0*exp(-t/tau0)*eta_D; every other excited (node, mode) slot
     of the train leaks one background photon with probability
@@ -283,26 +309,24 @@ def _readout_counts(slot: np.ndarray, k: np.ndarray, train: np.ndarray, mode: np
     n_modes = params.mode_count
     p_ret = params.retrieval_prob(storage_time)
     unlit_law = _slot_law(params)[:, 0]
-    herald = (train * n_modes + mode) * 2     # the herald window's L slot; its R slot is next
-    lo, at, hi = np.searchsorted(slot, [train * 2 * n_modes, herald, (train + 1) * 2 * n_modes])
     padded_slot, padded_k = np.append(slot, -1), np.append(k, 0)   # -1 and 0 past the end
-    lit_l = padded_slot[at] == herald
-    lit_r = padded_slot[at + lit_l] == herald + 1
-    k_unlit = _categorical(unlit_law, (train.size, 2), rng)
-    m = rng.binomial(np.where(lit_r, padded_k[at + lit_l], k_unlit[:, 1]), p_ret)  # R into aS_R
-    n = rng.binomial(np.where(lit_l, padded_k[at], k_unlit[:, 0]), p_ret)          # L into aS_L
+    lit_l = padded_slot[at] == 2 * herald        # the herald window's L slot; its R slot is next
+    lit_r = padded_slot[at + lit_l] == 2 * herald + 1
+    k_unlit = _categorical(unlit_law, (herald.size, 2), rng)
+    m = _binomial(np.where(lit_r, padded_k[at + lit_l], k_unlit[:, 1]), p_ret, rng)  # R into aS_R
+    n = _binomial(np.where(lit_l, padded_k[at], k_unlit[:, 0]), p_ret, rng)          # L into aS_L
 
-    lit_other = hi - lo - lit_l - lit_r
+    lit_other = lit - lit_l - lit_r
     q_pre = 1.0 - unlit_law[0] / unlit_law.sum()
-    other_excited = lit_other + rng.binomial(2 * n_modes - 2 - lit_other, q_pre)
-    leaked = rng.binomial(other_excited, params.crosstalk_eps * params.detection_eff)
-    to_r = rng.binomial(leaked, 0.5)
+    other_excited = lit_other + _binomial(2 * n_modes - 2 - lit_other, q_pre, rng)
+    leaked = _binomial(other_excited, params.crosstalk_eps * params.detection_eff, rng)
+    to_r = _binomial(leaked, 0.5, rng)
     m = m + to_r
     n = n + (leaked - to_r)
 
     if params.dark_count_prob > 0.0:
-        m = m + (rng.random(train.size) < params.dark_count_prob)
-        n = n + (rng.random(train.size) < params.dark_count_prob)
+        m = m + (rng.random(herald.size) < params.dark_count_prob)
+        n = n + (rng.random(herald.size) < params.dark_count_prob)
     return m, n
 
 
@@ -358,12 +382,16 @@ def run_link_trials(params: LinkParams, storage_time: float, trains: int,
     for done in range(0, trains, chunk):
         n = min(chunk, trains - done)
         slot, k, photons = _sample_lit(params, n, rng)
-        window, click1, click2 = _stokes_clicks(slot, photons, n, params, rng)
-        train, mode, detector = _first_herald(window, click1, click2, n_modes, rng)
-        m, n_clicks = _readout_counts(slot, k, train, mode, storage_time, params, rng)
-        heralded += train.size
+        window, start, click1, click2 = _stokes_clicks(slot, photons, n, params, rng)
+        row, detector = _first_herald(window, click1, click2, n_modes, rng)
+        herald, at = window[row], start[row]
+        # every lit window clicks, so a heralded train's lit slots run from its
+        # herald window to the next heralded train's, and no other train has any
+        lit = np.append(at[1:], slot.size) - at
+        m, n_clicks = _readout_counts(slot, k, herald, at, lit, storage_time, params, rng)
+        heralded += row.size
         pmn_counts += np.bincount(2 * np.minimum(m, 1) + np.minimum(n_clicks, 1), minlength=4)
-        window_counts += np.bincount(2 * mode + detector, minlength=2 * n_modes)
+        window_counts += np.bincount(2 * (herald % n_modes) + detector, minlength=2 * n_modes)
         detector_clicks += int(click1.sum()) + int(click2.sum())
     return LinkTally(
         trains=trains,

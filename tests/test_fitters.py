@@ -141,7 +141,66 @@ class TestFitLinearOrigin:
         assert abs(float(w @ (x * residual))) < 1e-10
 
 
+def reference_fringe_fit(samples):
+    """The unclamped fringe fit as solved before one SVD did all of it:
+    lstsq for the coefficients and the inverse of the weighted normal matrix
+    for their covariance. Returns (params, stderr, rss)."""
+    x, y, w = samples.x, samples.y, samples.weight
+    design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
+    sw = np.sqrt(w)
+    coeff, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
+    rss = float(w @ (y - design @ coeff) ** 2)
+    cov = np.linalg.inv(design.T @ (w[:, None] * design)) * rss / (x.size - 3)
+    c0, c1, c2 = coeff
+    modulus = math.hypot(c1, c2)
+    grad_v = np.array([-modulus / c0 ** 2, c1 / (modulus * c0), c2 / (modulus * c0)])
+    grad_t = np.array([0.0, c2 / modulus ** 2, -c1 / modulus ** 2])
+    params = {"amplitude": c0, "visibility": modulus / c0, "theta0": math.atan2(-c2, c1)}
+    stderr = {"amplitude": math.sqrt(cov[0, 0]), "visibility": math.sqrt(grad_v @ cov @ grad_v),
+              "theta0": math.sqrt(grad_t @ cov @ grad_t)}
+    return params, stderr, rss
+
+
+def _near_degenerate_phases(cond):
+    """Four phases, two at 0 and a pair at pi -/+ a, whose unit-weight design
+    [1, cos, sin] has condition number about ``cond`` (sqrt(2) / a)."""
+    a = math.sqrt(2.0) / cond
+    return np.array([0.0, 0.0, math.pi - a, math.pi + a])
+
+
 class TestFitSinusoid:
+    def test_single_svd_matches_lstsq_and_inverse(self):
+        # random well-conditioned Poisson fringes: the fit's estimates,
+        # standard errors and rss agree with the lstsq/inverse solve to 1e-12
+        rng = substream(14, 0)
+        for _ in range(200):
+            phases = int(rng.integers(5, 40))
+            theta = np.sort(rng.uniform(0.0, 2 * np.pi, phases))
+            theta[-1] = theta[0] + 4.0            # span over half a period
+            expected = rng.uniform(20, 5000) * (1 + rng.uniform(0.1, 0.9)
+                                                * np.cos(theta + rng.uniform(-2.8, -0.3)))
+            samples = Samples.from_xy(theta, rng.poisson(expected).astype(float))
+            fit = fit_sinusoid(samples)
+            params, stderr, rss = reference_fringe_fit(samples)
+            assert fit.params["visibility"] < 1.0
+            for name in params:
+                assert fit.params[name] == pytest.approx(params[name], rel=1e-12, abs=0)
+                assert fit.stderr[name] == pytest.approx(stderr[name], rel=1e-12, abs=0)
+            assert fit.rss == pytest.approx(rss, rel=1e-12, abs=0)
+
+    def test_guard_splits_at_condition_number_1e10(self):
+        ones = np.ones(4)
+        for cond, degenerate in ((1.02e10, True), (0.98e10, False)):
+            theta = _near_degenerate_phases(cond)
+            design = np.column_stack([ones, np.cos(theta), np.sin(theta)])
+            assert np.linalg.cond(design) == pytest.approx(cond, rel=1e-3)
+            samples = Samples(theta, 10.0 * (1.0 + 0.5 * np.cos(theta + 0.2)), ones)
+            if degenerate:
+                with pytest.raises(ParameterError, match="degenerate"):
+                    fit_sinusoid(samples)
+            else:
+                assert fit_sinusoid(samples).params["amplitude"] > 0.0
+
     def test_noiseless_recovery_to_six_digits(self):
         theta = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
         y = 500.0 * (1.0 + 0.795 * np.cos(theta))

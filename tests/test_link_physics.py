@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +11,13 @@ from dlczsim.fitters import Samples, fit_exponential
 from dlczsim.link_physics import (
     LinkParams,
     PmnTable,
+    _binomial,
+    _categorical,
     _first_herald,
     _herald_composition,
     _readout_counts,
     _sample_lit,
+    _slot_law,
     _stokes_clicks,
     expected_herald_probability,
     expected_pmn,
@@ -87,10 +92,22 @@ def _occupation(params, excited, trains=1):
 
 
 def _herald(params, occupation, trains, seed):
-    """Stokes measurement and herald selection on one stream, as run_link_trials does."""
+    """Stokes measurement and herald selection on one stream, as run_link_trials
+    does. Returns (train, mode, detector) per heralded train."""
     rng = substream(seed, 0)
-    window, click1, click2 = _stokes_clicks(*occupation, trains, params, rng)
-    return _first_herald(window, click1, click2, params.mode_count, rng)
+    window, _, click1, click2 = _stokes_clicks(*occupation, trains, params, rng)
+    row, detector = _first_herald(window, click1, click2, params.mode_count, rng)
+    return window[row] // params.mode_count, window[row] % params.mode_count, detector
+
+
+def _readout(slot, k, train, mode, storage_time, params, rng):
+    """_readout_counts for the given herald windows, with the herald window's
+    slot position and the train's lit-slot count found by search."""
+    n_modes = params.mode_count
+    herald = train * n_modes + mode
+    lo, at, hi = np.searchsorted(slot, [2 * n_modes * train, 2 * herald,
+                                        2 * n_modes * (train + 1)])
+    return _readout_counts(slot, k, herald, at, hi - lo, storage_time, params, rng)
 
 
 class TestSampleLitSlots:
@@ -155,9 +172,9 @@ class TestHeraldBsm:
         window = np.array([1, 3])
         click1 = np.array([True, False])
         click2 = np.array([False, True])
-        train, mode, detector = _first_herald(window, click1, click2, 2, substream(12, 0))
-        assert train.tolist() == [0, 1]
-        assert mode.tolist() == [1, 1]
+        row, detector = _first_herald(window, click1, click2, 2, substream(12, 0))
+        assert (window[row] // 2).tolist() == [0, 1]
+        assert (window[row] % 2).tolist() == [1, 1]
         assert detector.tolist() == [0, 1]
 
     def test_earliest_window_wins(self):
@@ -198,11 +215,11 @@ class TestReadout:
         params = LinkParams(chi=0.01, eta_td=1.0, detection_eff=1.0,
                             retrieval_eff_zero=1.0, crosstalk_eps=0.0)
         train, mode = np.array([0]), np.array([1])
-        m, n = _readout_counts(*_occupation(params, {(L, 1): 1}), train, mode, 0.0, params,
-                               substream(8, 0))
+        m, n = _readout(*_occupation(params, {(L, 1): 1}), train, mode, 0.0, params,
+                        substream(8, 0))
         assert (m[0], n[0]) == (0, 1)  # the L spin wave reads out into aS_L
-        m, n = _readout_counts(*_occupation(params, {(R, 1): 1}), train, mode, 0.0, params,
-                               substream(8, 0))
+        m, n = _readout(*_occupation(params, {(R, 1): 1}), train, mode, 0.0, params,
+                        substream(8, 0))
         assert (m[0], n[0]) == (1, 0)
 
     def test_crosstalk_leaks_from_every_other_excited_slot_of_the_train(self):
@@ -211,8 +228,8 @@ class TestReadout:
         params = LinkParams(chi=0.01, detection_eff=1.0, retrieval_eff_zero=1.0,
                             crosstalk_eps=1.0)
         occupation = _occupation(params, {(L, 1): 1, (R, 4): 2, (L, 7): 1}, trains=3)
-        m, n = _readout_counts(*occupation, np.array([1, 2]), np.array([1, 4]), 0.0, params,
-                               substream(9, 0))
+        m, n = _readout(*occupation, np.array([1, 2]), np.array([1, 4]), 0.0, params,
+                        substream(9, 0))
         assert (m + n).tolist() == [1 + 2, 2 + 2]
 
     def test_requires_a_herald(self):
@@ -231,8 +248,8 @@ class TestReadout:
                             retrieval_eff_zero=0.707, memory_lifetime=0.3e-3)
         trains = 20_000
         occupation = _occupation(params, {(L, 0): 1}, trains=trains)
-        _, n = _readout_counts(*occupation, np.arange(trains), np.zeros(trains, dtype=np.int64),
-                               0.3e-3, params, substream(21, 0))
+        _, n = _readout(*occupation, np.arange(trains), np.zeros(trains, dtype=np.int64),
+                        0.3e-3, params, substream(21, 0))
         expected = 0.707 * math.exp(-1.0)
         assert expected == pytest.approx(0.260091, abs=5e-6)
         assert abs(n.mean() - expected) < 3 * binom_sigma(expected, trains)
@@ -253,6 +270,127 @@ class TestReadout:
         assert fit.converged
         assert fit.params["r0"] == pytest.approx(want["r0"], rel=0.05)
         assert fit.params["tau0"] == pytest.approx(want["tau0"], rel=0.05)
+
+
+def reference_readout(slot, k, train, mode, storage_time, params, rng):
+    """The readout as it drew before it skipped zero-count binomials and took
+    the herald positions from the Stokes pass: three searches of ``slot``, a
+    ``searchsorted`` categorical and every binomial over the full arrays."""
+    n_modes = params.mode_count
+    p_ret = params.retrieval_prob(storage_time)
+    unlit_law = _slot_law(params)[:, 0]
+    herald = (train * n_modes + mode) * 2
+    lo, at, hi = np.searchsorted(slot, [train * 2 * n_modes, herald, (train + 1) * 2 * n_modes])
+    padded_slot, padded_k = np.append(slot, -1), np.append(k, 0)
+    lit_l = padded_slot[at] == herald
+    lit_r = padded_slot[at + lit_l] == herald + 1
+    cum = np.cumsum(unlit_law)
+    k_unlit = np.searchsorted(cum[:-1], rng.random((train.size, 2)) * cum[-1], side="right")
+    m = rng.binomial(np.where(lit_r, padded_k[at + lit_l], k_unlit[:, 1]), p_ret)
+    n = rng.binomial(np.where(lit_l, padded_k[at], k_unlit[:, 0]), p_ret)
+    lit_other = hi - lo - lit_l - lit_r
+    q_pre = 1.0 - unlit_law[0] / unlit_law.sum()
+    other_excited = lit_other + rng.binomial(2 * n_modes - 2 - lit_other, q_pre)
+    leaked = rng.binomial(other_excited, params.crosstalk_eps * params.detection_eff)
+    to_r = rng.binomial(leaked, 0.5)
+    m = m + to_r
+    n = n + (leaked - to_r)
+    if params.dark_count_prob > 0.0:
+        m = m + (rng.random(train.size) < params.dark_count_prob)
+        n = n + (rng.random(train.size) < params.dark_count_prob)
+    return m, n
+
+
+# the draw-identity grid: (overrides of the calibrated link, trains)
+IDENTITY_CASES = {
+    "calibrated": ({}, 200_000),
+    "dark_0.3": ({"dark_count_prob": 0.3}, 20_000),
+    "one_mode": ({"mode_count": 1}, 1_000_000),
+    "chi_0.2": ({"chi": 0.2, "eta_td": 0.8}, 20_000),
+    "no_crosstalk": ({"crosstalk_eps": 0.0}, 200_000),
+    "full_crosstalk": ({"crosstalk_eps": 1.0}, 200_000),
+}
+
+
+def _identity_params(calibrated, case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # chi = 0.2 at 12 modes warns
+        return dataclasses.replace(calibrated, **IDENTITY_CASES[case][0])
+
+
+class TestReadoutDrawIdentity:
+    """The readout draws exactly what `reference_readout` draws: the same
+    clicks and the same generator state afterwards."""
+
+    @pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+    def test_pipeline_matches_reference_readout(self, calibrated, case):
+        params, trains = _identity_params(calibrated, case), IDENTITY_CASES[case][1]
+        n_modes = params.mode_count
+        for storage_time in (1e-6, 150e-6):
+            rng, ref_rng = substream(64, 0), substream(64, 0)
+            tally = run_link_trials(params, storage_time, trains, rng)
+
+            slot, k, photons = _sample_lit(params, trains, ref_rng)
+            window, _, click1, click2 = _stokes_clicks(slot, photons, trains, params, ref_rng)
+            row, detector = _first_herald(window, click1, click2, n_modes, ref_rng)
+            herald = window[row]
+            m, n = reference_readout(slot, k, herald // n_modes, herald % n_modes,
+                                     storage_time, params, ref_rng)
+            assert tally.heralded == herald.size > 0
+            assert tally.detector_clicks == click1.sum() + click2.sum()
+            assert np.array_equal(tally.pmn_counts.ravel(), np.bincount(
+                2 * np.minimum(m, 1) + np.minimum(n, 1), minlength=4))
+            assert np.array_equal(tally.window_counts.ravel(), np.bincount(
+                2 * (herald % n_modes) + detector, minlength=2 * n_modes))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("case", sorted(IDENTITY_CASES))
+    def test_readout_stage_matches_reference_readout(self, calibrated, case):
+        # hand-placed heralds: at each lit train's first lit window, at a
+        # random window of each lit train (with lit slots before or after
+        # it), and at a random window of every seventh train
+        params = _identity_params(calibrated, case)
+        n_modes = params.mode_count
+        slot, k, _ = _sample_lit(params, 20_000, substream(65, 0))
+        lit_train, first = np.unique(slot // (2 * n_modes), return_index=True)
+        other = np.concatenate([lit_train, np.arange(0, 20_000, 7)])
+        train = np.concatenate([lit_train, other])
+        mode = np.concatenate([(slot[first] >> 1) % n_modes,
+                               substream(65, 1).integers(0, n_modes, other.size)])
+        rng, ref_rng = substream(65, 2), substream(65, 2)
+        got = _readout(slot, k, train, mode, 1e-6, params, rng)
+        want = reference_readout(slot, k, train, mode, 1e-6, params, ref_rng)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.9])
+    def test_binomial_skips_only_draws_numpy_never_makes(self, p):
+        counts = substream(66, 0).integers(0, 4, 5000)
+        counts[::3] = 0
+        rng, ref_rng = substream(66, 1), substream(66, 1)
+        assert np.array_equal(_binomial(counts, p, rng), ref_rng.binomial(counts, p))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.3, 0.0, 0.5, 0.2], [0.5, 0.0, 0.5],
+                                         [0.9, 0.1, 0.0], [1.0]])
+    def test_categorical_matches_searchsorted(self, weights):
+        weights = np.array(weights)
+        rng, ref_rng = substream(67, 0), substream(67, 0)
+        cum = np.cumsum(weights)
+        want = np.searchsorted(cum[:-1], ref_rng.random((4000, 2)) * cum[-1], side="right")
+        got = _categorical(weights, (4000, 2), rng)
+        assert np.array_equal(got, want)
+        assert not np.isin(got, np.flatnonzero(weights == 0.0)).any()
+
+    def test_categorical_on_the_edges(self):
+        # uniforms landing exactly on a cumulative edge take the cell above
+        # it, as searchsorted(side="right") does, and skip zero-weight cells
+        class Fixed:
+            def random(self, size):
+                return np.array([0.0, 0.2499, 0.25, 0.4999, 0.5, 0.75, 0.9999]).reshape(size)
+
+        got = _categorical(np.array([0.25, 0.0, 0.25, 0.5]), 7, Fixed())
+        assert got.tolist() == [0, 0, 2, 2, 3, 3, 3]
 
 
 class TestPmnTable:
