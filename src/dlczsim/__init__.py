@@ -6,10 +6,9 @@ The modules map onto the problem's layers:
                    pipeline and its exact closed forms
     metrics        concurrence / visibility / retrieval-efficiency estimators
     rate           closed-form nested-chain rate recursion
-    chain_sim      discrete-event Monte Carlo of the full chain
+    chain_sim      level-pooled Monte Carlo of the full chain
     fitters        weighted least-squares fits (exponential, linear, fringe)
     experiments    storage-time and mode-count scan pipelines
-    calibration    frozen benchmark-link calibration and its solver
     config_io      INI configs, manifests, deterministic result files
     cli            the `dlczsim` command
 

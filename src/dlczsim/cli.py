@@ -307,6 +307,11 @@ def cmd_link_experiment(args) -> int:
     mode_points = mode_count_scan(
         config.link, exp.mode_counts, exp.storage_times[0], exp.window_budget,
         config.seed, phases=exp.fringe_phases, shots_per_phase=exp.fringe_shots)
+    for p in storage_points + mode_points:
+        if not p.fit_converged:
+            print(f"warning: the fringe fit did not converge at storage time "
+                  f"{format_float(p.storage_time * 1e6)} us, N = {p.mode_count}",
+                  file=sys.stderr)
     # both scans finish before any output, so a scan that raises writes no file
     _emit_scan(run, "storage_scan.csv", [
         {"storage_time_us": p.storage_time * 1e6, "C": p.concurrence,

@@ -31,8 +31,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScanPoint:
-    """One point of either scan: the link's storage time and mode count, and
-    every estimate drawn there."""
+    """One point of either scan: the link's storage time and mode count,
+    every estimate drawn there, and whether its fringe fit converged."""
 
     storage_time: float
     mode_count: int
@@ -41,6 +41,7 @@ class ScanPoint:
     concurrence_stderr: float
     visibility: float
     visibility_stderr: float
+    fit_converged: bool
     efficiency: float
     detection_probability: float
     detection_stderr: float
@@ -83,7 +84,7 @@ def _point(params: LinkParams, storage_time: float, trains: int, seed_root: int,
         raise NoHeraldsError(
             f"no heralds in {trains} trains at storage_time={storage_time} s, "
             f"N={params.mode_count}: increase the train budget")
-    vis, vis_err, _ = measure_visibility(
+    vis, vis_err, fit = measure_visibility(
         params, storage_time, substream(seed_root, stream, 1), phases, shots_per_phase)
     stderr = bootstrap_concurrence_stderr(
         tally.pmn_counts.reshape(4), vis,
@@ -97,6 +98,7 @@ def _point(params: LinkParams, storage_time: float, trains: int, seed_root: int,
         concurrence_stderr=stderr,
         visibility=vis,
         visibility_stderr=vis_err,
+        fit_converged=fit.converged,
         efficiency=intrinsic_efficiency(tally.pmn(), params.detection_eff),
         detection_probability=p_d,
         # clicks across windows are nearly independent Bernoullis at these rates

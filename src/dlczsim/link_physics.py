@@ -345,10 +345,6 @@ class LinkTally:
     detector_clicks: int              # Stokes clicks over ALL windows (no first-click cut)
 
     @property
-    def herald_probability(self) -> float:
-        return self.heralded / self.trains
-
-    @property
     def detection_probability(self) -> float:
         """Per-train sum of both detectors' click probabilities over all windows."""
         return self.detector_clicks / self.trains

@@ -17,7 +17,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dlczsim.calibration import calibrated_link_params
 from dlczsim.chain_sim import SimConfig, simulate_chain, simulate_elementary_link
 from dlczsim.cli import main as cli_main
 from dlczsim.experiments import mode_count_scan, storage_time_scan
@@ -26,6 +25,8 @@ from dlczsim.link_physics import expected_window_detection, run_link_trials
 from dlczsim.metrics import PmnTable, concurrence, intrinsic_efficiency, visibility
 from dlczsim.rate import ChainParams, multiplexed_success, swap_chain
 from dlczsim.streams import substream
+
+from conftest import CALIBRATED_LINK
 
 SEED = 20240817
 
@@ -68,7 +69,7 @@ def test_criterion_1_multiplexed_success_oracle():
 
 def mode_scaling(seed):
     """Criterion 2's P_D^(N) scan on substreams (seed, 2, index) and its three checks."""
-    params = calibrated_link_params(crosstalk_eps=0.0)
+    params = dataclasses.replace(CALIBRATED_LINK, crosstalk_eps=0.0)
     window_budget = 4_000_000
     probes = []
     for index, n in enumerate(range(1, 13)):
@@ -127,7 +128,7 @@ def test_criterion_3_retrieval_decay_fit():
 
 def concurrence_calibration(seed):
     """Criterion 4's two storage points, at roots seed + 4 and seed + 40, and its checks."""
-    params = calibrated_link_params()
+    params = CALIBRATED_LINK
     short = storage_time_scan(params, [1e-6], trains=1_500_000, seed=seed + 4,
                               phases=12, shots_per_phase=50_000)[0]
     long = storage_time_scan(params, [150e-6], trains=12_000_000, seed=seed + 40,
@@ -158,9 +159,9 @@ def crosstalk_monotonicity(seed):
     """Criterion 5's two mode scans, at roots seed + 5 and seed + 50, and its checks."""
     t = 1e-6
     budget = 6_000_000
-    with_xt = mode_count_scan(calibrated_link_params(), range(1, 13), t,
+    with_xt = mode_count_scan(CALIBRATED_LINK, range(1, 13), t,
                               budget, seed + 5, phases=12, shots_per_phase=20_000)
-    without = mode_count_scan(calibrated_link_params(crosstalk_eps=0.0),
+    without = mode_count_scan(dataclasses.replace(CALIBRATED_LINK, crosstalk_eps=0.0),
                               range(1, 13), t, budget, seed + 50,
                               phases=12, shots_per_phase=20_000)
 

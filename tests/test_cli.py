@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import json
 import re
 import warnings
@@ -309,6 +311,30 @@ class TestLinkExperiment:
         assert not (out / "storage_scan.csv").exists()
         assert not (out / "mode_scan.csv").exists()
         assert not (out / "manifest.json").exists()
+
+    def test_unconverged_fringe_fit_warns_once_per_point(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # the scans report the fit's flag; the exit code and the CSVs stay as
+        # for a converged fit
+        config = tmp_path / "link.ini"
+        config.write_text(
+            (CONFIGS / "link_calibrated.ini").read_text().split("[sim]")[0]
+            + "[sim]\nseed = 5\n"
+            "[experiment]\nstorage_times_us = 1.0, 150.0\nmode_counts = 1, 12\n"
+            "trains = 20000\nwindow_budget = 100000\n"
+            "fringe_phases = 12\nfringe_shots = 2000\n")
+        assert run(["link-experiment", "--config", config, "--out-dir", tmp_path / "a"]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+        fit_sinusoid = experiments.fit_sinusoid
+        monkeypatch.setattr(experiments, "fit_sinusoid", lambda samples: dataclasses.replace(
+            fit_sinusoid(samples), converged=False))
+        assert run(["link-experiment", "--config", config, "--out-dir", tmp_path / "b"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: the fringe fit did not converge at storage time {t} us, N = {n}"
+            for t, n in ((1, 12), (150, 12), (1, 1), (1, 12))]
+        for name in ("storage_scan.csv", "mode_scan.csv"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
 
@@ -640,3 +666,24 @@ class TestUnreadFlags:
         lines = (out / "rate.csv").read_text().splitlines()
         assert lines[0] == "level,p_i,t_i_s"
         assert not (out / "rate.json").exists()
+
+
+class TestImportGraph:
+    """Every module of the package is reached from the command."""
+
+    def test_cli_reaches_every_module(self):
+        # follow `from .x import ...` and `from . import x`, at module level and
+        # inside functions, so a lazily imported module still counts as reached
+        package = Path(cli.__file__).parent
+        modules = {path.stem for path in package.glob("*.py")}
+        reached, todo = {"__init__", "cli"}, ["cli"]
+        while todo:
+            tree = ast.parse((package / f"{todo.pop()}.py").read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    names = ([node.module] if node.module
+                             else [alias.name for alias in node.names])
+                    for name in set(names) & modules - reached:
+                        reached.add(name)
+                        todo.append(name)
+        assert modules - reached == set()

@@ -3,7 +3,6 @@ import json
 
 import pytest
 
-from dlczsim.calibration import calibrated_link_params
 from dlczsim.config_io import (
     ExperimentConfig,
     RunConfig,
@@ -117,13 +116,6 @@ class TestRoundTrip:
         link = parse_config(root / "link_calibrated.ini")
         assert link.link is not None
         assert link.link.mode_count == 12
-
-    def test_calibrated_config_is_the_frozen_calibration(self):
-        # the calibration is written down twice: in the shipped config and in
-        # dlczsim.calibration; the two copies must stay equal
-        from pathlib import Path
-        root = Path(__file__).resolve().parents[1] / "configs"
-        assert parse_config(root / "link_calibrated.ini").link == calibrated_link_params()
 
     def test_projection_config_is_the_default_chain(self):
         # the projection point is written down twice: in the shipped config

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 
-from dlczsim.calibration import calibrated_link_params
 from dlczsim.experiments import (
     fringe_counts,
     measure_visibility,

@@ -194,7 +194,7 @@ class TestHeraldBsm:
         tally = run_link_trials(calibrated, 1e-6, 200_000, substream(11, 0))
         expected = expected_herald_probability(calibrated)
         sigma = binom_sigma(expected, tally.trains)
-        assert abs(tally.herald_probability - expected) < 3 * sigma
+        assert abs(tally.heralded / tally.trains - expected) < 3 * sigma
 
     def test_herald_probability_linear_in_modes(self, calibrated):
         # N * single-mode probability approximates the N-mode herald rate
@@ -203,7 +203,7 @@ class TestHeraldBsm:
         single = dataclasses.replace(calibrated, mode_count=1)
         t1 = run_link_trials(single, 1e-6, 1_200_000, substream(13, 0))
         t12 = run_link_trials(calibrated, 1e-6, 600_000, substream(13, 1))
-        p1, p12 = t1.herald_probability, t12.herald_probability
+        p1, p12 = t1.heralded / t1.trains, t12.heralded / t12.trains
         sigma = math.sqrt((12 * binom_sigma(p1, t1.trains)) ** 2
                           + binom_sigma(p12, t12.trains) ** 2)
         # the exact N-mode value sits (N-1)p/2 ~ 1.4% below 12*p1
