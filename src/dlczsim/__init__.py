@@ -10,6 +10,8 @@ The modules map onto the problem's layers:
     fitters        weighted least-squares fits (exponential, linear, fringe)
     experiments    storage-time and mode-count scan pipelines
     config_io      INI configs, manifests, deterministic result files
+    errors         exception types, value ranges and the field validator
+    streams        seeded random sub-streams
     cli            the `dlczsim` command
 
 Import names from these modules; the package itself exports only __version__.

@@ -22,6 +22,7 @@ import dataclasses
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -407,20 +408,27 @@ def cmd_sweep(args) -> int:
                       config.seed)
 
 
+def _show_warning(message, *args, **kwargs) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NoHeraldsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except DlczSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    with warnings.catch_warnings():
+        # a library warning is one `warning:` line, like every other diagnostic
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except NoHeraldsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DEGENERATE
+        except DlczSimError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

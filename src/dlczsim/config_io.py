@@ -93,9 +93,7 @@ class RunConfig:
 # Unit suffix of a field's INI key; every other key is the bare field name.
 _UNITS = {
     "l0": "_km", "l_att": "_km", "fiber_speed": "_km_s",
-    "tau0": "_s", "pulse_interval": "_s", "train_duration": "_s",
-    "memory_lifetime": "_s", "max_sim_time": "_s",
-    "phase_s": "_rad", "phase_as": "_rad",
+    "tau0": "_s", "memory_lifetime": "_s", "max_sim_time": "_s",
 }
 
 

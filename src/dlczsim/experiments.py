@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoHeraldsError, ParameterError
-from .fitters import FitResult, Samples, fit_sinusoid
+from .fitters import Samples, fit_sinusoid
 from .link_physics import LinkParams, fringe_expectation, run_link_trials
 from .metrics import bootstrap_concurrence_stderr, concurrence, intrinsic_efficiency
 from .streams import substream
@@ -23,7 +23,6 @@ from .streams import substream
 __all__ = [
     "ScanPoint",
     "fringe_counts",
-    "measure_visibility",
     "storage_time_scan",
     "mode_count_scan",
 ]
@@ -62,19 +61,6 @@ def fringe_counts(params: LinkParams, storage_time: float, rng: np.random.Genera
     return Samples.from_xy(theta, counts)
 
 
-def measure_visibility(params: LinkParams, storage_time: float, rng: np.random.Generator,
-                       phases: int, shots_per_phase: int) -> tuple[float, float, FitResult]:
-    """Measure the fringe visibility from sampled counts.
-
-    The visibility comes from the fitted sinusoid's extrema, which shot noise
-    cannot bias the way raw max/min bins can (the raw estimator picks the most
-    upward-fluctuated bin as the maximum).
-    """
-    samples = fringe_counts(params, storage_time, rng, phases, shots_per_phase)
-    fit = fit_sinusoid(samples)
-    return fit.params["visibility"], fit.stderr["visibility"], fit
-
-
 def _point(params: LinkParams, storage_time: float, trains: int, seed_root: int,
            stream: int, phases: int, shots_per_phase: int) -> ScanPoint:
     """Draw one scan point: the link trials, fringe and bootstrap on
@@ -84,8 +70,11 @@ def _point(params: LinkParams, storage_time: float, trains: int, seed_root: int,
         raise NoHeraldsError(
             f"no heralds in {trains} trains at storage_time={storage_time} s, "
             f"N={params.mode_count}: increase the train budget")
-    vis, vis_err, fit = measure_visibility(
-        params, storage_time, substream(seed_root, stream, 1), phases, shots_per_phase)
+    # the visibility is the fitted sinusoid's, which shot noise cannot bias the
+    # way raw max/min bins can (they pick the most upward-fluctuated bin)
+    fit = fit_sinusoid(fringe_counts(
+        params, storage_time, substream(seed_root, stream, 1), phases, shots_per_phase))
+    vis, vis_err = fit.params["visibility"], fit.stderr["visibility"]
     stderr = bootstrap_concurrence_stderr(
         tally.pmn_counts.reshape(4), vis,
         substream(seed_root, stream, 2), visibility_stderr=vis_err)
@@ -125,9 +114,7 @@ def mode_count_scan(params: LinkParams, mode_counts, storage_time: float,
     points = []
     for index, n in enumerate(mode_counts):
         n = int(n)
-        scan_params = dataclasses.replace(
-            params, mode_count=n,
-            train_duration=max(params.train_duration, params.pulse_interval * n))
-        points.append(_point(scan_params, storage_time, max(1, window_budget // n), seed,
-                             1000 + index, phases, shots_per_phase))
+        points.append(_point(dataclasses.replace(params, mode_count=n), storage_time,
+                             max(1, window_budget // n), seed, 1000 + index, phases,
+                             shots_per_phase))
     return points

@@ -130,10 +130,7 @@ def _numeric(fit):
 def _covariance(jacobian: np.ndarray, weight: np.ndarray, rss: float) -> np.ndarray:
     m, p = jacobian.shape
     jtj = jacobian.T @ (weight[:, None] * jacobian)
-    try:
-        cov = np.linalg.inv(jtj)
-    except np.linalg.LinAlgError as exc:
-        raise ParameterError(f"singular normal equations: {exc}") from exc
+    cov = np.linalg.inv(jtj)
     scale = rss / (m - p) if m > p else 0.0
     return cov * scale
 
@@ -151,10 +148,7 @@ def _levenberg_marquardt(model, jacobian, x0, samples: Samples):
         jac = jacobian(x)
         jtj = jac.T @ (w[:, None] * jac)
         grad = jac.T @ (w * residual)
-        try:
-            step = np.linalg.solve(jtj + damping * np.diag(np.diag(jtj)), grad)
-        except np.linalg.LinAlgError as exc:
-            raise ParameterError(f"singular step equations: {exc}") from exc
+        step = np.linalg.solve(jtj + damping * np.diag(np.diag(jtj)), grad)
         candidate = x + step
         cand_residual = samples.y - model(candidate)
         cand_rss = float(w @ cand_residual ** 2)

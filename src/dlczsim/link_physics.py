@@ -58,8 +58,6 @@ MAX_EXCITATION = 2
 LINK_FIELDS = (
     ("chi", float, "in [0, 1)"),    # chi = 1 has no normalizable thermal law
     ("mode_count", int, "in [1, 1000000]"),
-    ("pulse_interval", float, "> 0"),
-    ("train_duration", float, "> 0"),
     ("retrieval_eff_zero", float, "in [0, 1]"),
     ("memory_lifetime", float, "> 0"),
     ("detection_eff", float, "in (0, 1]"),   # intrinsic_efficiency divides by it
@@ -67,8 +65,6 @@ LINK_FIELDS = (
     ("visibility_cap", float, "in [0, 1]"),
     ("dark_count_prob", float, "in [0, 1]"),
     ("crosstalk_eps", float, "in [0, 1]"),
-    ("phase_s", float, None),
-    ("phase_as", float, None),
 )
 
 
@@ -77,9 +73,9 @@ class LinkParams:
     """Physical constants of one elementary link.
 
     chi                 Stokes excitation probability per write pulse per node.
-    mode_count          temporal modes N per write train.
-    pulse_interval      spacing between write pulses, seconds.
-    train_duration      length of the whole write train, seconds.
+    mode_count          temporal modes N per write train. Every mode is stored
+                        for the same time, so the write-pulse timing enters
+                        no observable.
     retrieval_eff_zero  intrinsic retrieval efficiency at zero delay (R0).
     memory_lifetime     spin-wave 1/e lifetime tau0, seconds.
     detection_eff       total anti-Stokes detection efficiency (eta_D).
@@ -88,15 +84,10 @@ class LinkParams:
     dark_count_prob     per-window false-click probability, per detector.
     crosstalk_eps       probability that an excited non-addressed mode leaks
                         one photon into a collected anti-Stokes mode at readout.
-    phase_s, phase_as   Stokes / anti-Stokes path phase offsets, radians.
-                        Only their sum enters any observable (it is held
-                        constant interferometrically), as the fringe offset.
     """
 
     chi: float
     mode_count: int = 12
-    pulse_interval: float = 400e-9
-    train_duration: float = 8e-6
     retrieval_eff_zero: float = 0.707
     memory_lifetime: float = 0.3e-3
     detection_eff: float = 1.0
@@ -104,15 +95,9 @@ class LinkParams:
     visibility_cap: float = 1.0
     dark_count_prob: float = 0.0
     crosstalk_eps: float = 0.0
-    phase_s: float = 0.0
-    phase_as: float = 0.0
 
     def __post_init__(self):
         check_fields(self, LINK_FIELDS)
-        if self.pulse_interval * (self.mode_count - 1) > self.train_duration:
-            raise ParameterError(
-                f"{self.mode_count} pulses at {self.pulse_interval} s spacing do not fit "
-                f"in train_duration={self.train_duration} s")
         if self.chi * self.mode_count >= 1.0:
             warnings.warn(
                 f"chi*mode_count = {self.chi * self.mode_count:.3g} >= 1: multi-excitation "
@@ -498,12 +483,14 @@ def expected_pmn(params: LinkParams, storage_time: float) -> PmnTable:
     return PmnTable(p00, p01, p10, p11)
 
 
-def fringe_visibility(params: LinkParams, storage_time: float) -> tuple[float, float, float]:
+def fringe_visibility(params: LinkParams, storage_time: float) -> tuple[float, float]:
     """Closed-form fringe of the heralded anti-Stokes interference.
 
-    Returns (amplitude, effective visibility, phase offset): the expected
-    conditional count rate at detector D_aS1 as the analysis phase theta is
-    scanned is amplitude * (1 + V_eff * cos(theta + offset)).
+    Returns (amplitude, effective visibility): the expected conditional count
+    rate at detector D_aS1 as the analysis phase theta is scanned is
+    amplitude * (1 + V_eff * cos(theta)). The Stokes + anti-Stokes path phase
+    is held constant interferometrically and only shifts the fringe, which the
+    fitted visibility does not see, so it is taken as 0.
 
     Only the single-shared-excitation manifold interferes; its contrast is
     capped by visibility_cap. Double excitations, crosstalk leakage, and dark
@@ -530,7 +517,7 @@ def fringe_visibility(params: LinkParams, storage_time: float) -> tuple[float, f
     coherent = w_coherent * p_ret / 2.0
     amplitude = coherent + incoherent * p_ret / 2.0 + background
     v_eff = 0.0 if amplitude == 0.0 else params.visibility_cap * coherent / amplitude
-    return amplitude, v_eff, params.phase_s + params.phase_as
+    return amplitude, v_eff
 
 
 def fringe_expectation(theta, storage_time: float, params: LinkParams):
@@ -538,5 +525,5 @@ def fringe_expectation(theta, storage_time: float, params: LinkParams):
 
     Accepts a scalar or an array of phases.
     """
-    amplitude, v_eff, offset = fringe_visibility(params, storage_time)
-    return amplitude * (1.0 + v_eff * np.cos(np.asarray(theta, dtype=float) + offset))
+    amplitude, v_eff = fringe_visibility(params, storage_time)
+    return amplitude * (1.0 + v_eff * np.cos(np.asarray(theta, dtype=float)))

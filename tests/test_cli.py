@@ -33,6 +33,19 @@ def write_chain_config(tmp_path, **overrides) -> Path:
     return path
 
 
+def write_link_config(tmp_path, link_lines="", storage_times="1.0", mode_counts="1, 2",
+                      window_budget=100000) -> Path:
+    """The calibrated [link] plus ``link_lines``, at seed 5 with small scan budgets."""
+    path = tmp_path / "link.ini"
+    path.write_text(
+        (CONFIGS / "link_calibrated.ini").read_text().split("[sim]")[0] + link_lines
+        + "[sim]\nseed = 5\n"
+        f"[experiment]\nstorage_times_us = {storage_times}\nmode_counts = {mode_counts}\n"
+        f"trains = 20000\nwindow_budget = {window_budget}\n"
+        "fringe_phases = 12\nfringe_shots = 2000\n")
+    return path
+
+
 class TestRate:
     def test_projection_reports_rate_above_one_hz(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -250,9 +263,8 @@ class TestLinkExperiment:
         assert not out.exists()
 
     @pytest.mark.parametrize("edits, code", [
-        # one train of 10^6 + 1 modes: long enough and under the slot cap
-        ({"mode_count = 12": "mode_count = 1000001", "trains = 1500000": "trains = 1",
-          "train_duration_s = 8e-06": "train_duration_s = 1"}, 3),
+        # one train of 10^6 + 1 modes: under the slot cap
+        ({"mode_count = 12": "mode_count = 1000001", "trains = 1500000": "trains = 1"}, 3),
         ({"mode_counts = 1, 2,": "mode_counts = 1000001, 2,"}, 2),
         ({"fringe_shots = 4000": "fringe_shots = 100000000000000000000"}, 2),
     ])
@@ -299,12 +311,7 @@ class TestLinkExperiment:
     def test_zero_heralds_at_a_mode_point_exits_four(self, tmp_path, capsys):
         # the storage point draws 20000 trains and heralds; the N = 1 mode
         # point draws 10 trains and, at this seed, none of them heralds
-        config = tmp_path / "link.ini"
-        config.write_text(
-            (CONFIGS / "link_calibrated.ini").read_text().split("[sim]")[0]
-            + "[sim]\nseed = 5\n"
-            "[experiment]\nstorage_times_us = 1.0\nmode_counts = 1\n"
-            "trains = 20000\nwindow_budget = 10\n")
+        config = write_link_config(tmp_path, mode_counts="1", window_budget=10)
         out = tmp_path / "out"
         assert run(["link-experiment", "--config", config, "--out-dir", out]) == 4
         assert "N=1" in capsys.readouterr().err
@@ -316,13 +323,7 @@ class TestLinkExperiment:
                                                           capsys):
         # the scans report the fit's flag; the exit code and the CSVs stay as
         # for a converged fit
-        config = tmp_path / "link.ini"
-        config.write_text(
-            (CONFIGS / "link_calibrated.ini").read_text().split("[sim]")[0]
-            + "[sim]\nseed = 5\n"
-            "[experiment]\nstorage_times_us = 1.0, 150.0\nmode_counts = 1, 12\n"
-            "trains = 20000\nwindow_budget = 100000\n"
-            "fringe_phases = 12\nfringe_shots = 2000\n")
+        config = write_link_config(tmp_path, storage_times="1.0, 150.0", mode_counts="1, 12")
         assert run(["link-experiment", "--config", config, "--out-dir", tmp_path / "a"]) == 0
         assert "warning" not in capsys.readouterr().err
 
@@ -336,19 +337,45 @@ class TestLinkExperiment:
         for name in ("storage_scan.csv", "mode_scan.csv"):
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
+    def test_thirty_modes_run(self, tmp_path):
+        # no write-pulse timing is declared, so no train length caps N
+        config = write_link_config(tmp_path)
+        config.write_text(config.read_text().replace("mode_count = 12", "mode_count = 30"))
+        assert run(["link-experiment", "--config", config]) == 0
+
+    @pytest.mark.parametrize("key", ["pulse_interval_s", "train_duration_s", "phase_s_rad",
+                                     "phase_as_rad", "fringe_offset_rad"])
+    def test_retired_link_keys_exit_two(self, tmp_path, capsys, key):
+        config = write_link_config(tmp_path, f"{key} = 0.5\n")
+        assert run(["link-experiment", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "[link] has unknown keys" in err and key in err
+
+    def test_multi_excitation_warning_is_one_warning_line(self, tmp_path, capsys):
+        config = write_link_config(tmp_path)
+        config.write_text(config.read_text().replace("chi = 0.01", "chi = 0.1"))
+        assert run(["link-experiment", "--config", config, "--out-dir", tmp_path / "a"]) == 0
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "chi*mode_count" in line] == [
+            "warning: chi*mode_count = 1.2 >= 1: multi-excitation regime, the truncated "
+            "photon-number law is a poor approximation"]
+        assert "UserWarning" not in err
+        # the warning changes neither the exit code nor a result file
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(["link-experiment", "--config", config,
+                        "--out-dir", tmp_path / "b"]) == 0
+        assert "warning" not in capsys.readouterr().err
+        for name in ("storage_scan.csv", "mode_scan.csv"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
+
 
 
 class TestResultLayouts:
     """The exact keys and columns of every result file, which cli lays out."""
 
     def test_scan_rows_are_the_scan_points(self, tmp_path):
-        path = tmp_path / "link.ini"
-        path.write_text(
-            (CONFIGS / "link_calibrated.ini").read_text().split("[sim]")[0]
-            + "[sim]\nseed = 5\n"
-            "[experiment]\nstorage_times_us = 1.0, 150.0\nmode_counts = 1, 12\n"
-            "trains = 20000\nwindow_budget = 100000\n"
-            "fringe_phases = 12\nfringe_shots = 2000\n")
+        path = write_link_config(tmp_path, storage_times="1.0, 150.0", mode_counts="1, 12")
         out = tmp_path / "out"
         assert run(["link-experiment", "--config", path, "--out-dir", out]) == 0
 

@@ -23,8 +23,6 @@ SAMPLE_INI = """\
 [link]
 chi = 0.0123
 mode_count = 7
-pulse_interval_s = 5e-07
-train_duration_s = 9.5e-06
 retrieval_eff_zero = 0.65
 memory_lifetime_s = 0.00025
 detection_eff = 0.19
@@ -32,8 +30,6 @@ eta_td = 0.11
 visibility_cap = 0.97
 dark_count_prob = 2e-05
 crosstalk_eps = 0.3
-phase_s_rad = 0.25
-phase_as_rad = -0.5
 
 [chain]
 l0_km = 50.5
@@ -65,11 +61,9 @@ fringe_shots = 1234
 
 def sample_config() -> RunConfig:
     return RunConfig(
-        link=LinkParams(chi=0.0123, mode_count=7, pulse_interval=5e-7,
-                        train_duration=9.5e-6, retrieval_eff_zero=0.65,
+        link=LinkParams(chi=0.0123, mode_count=7, retrieval_eff_zero=0.65,
                         memory_lifetime=0.25e-3, detection_eff=0.19, eta_td=0.11,
-                        visibility_cap=0.97, dark_count_prob=2e-5, crosstalk_eps=0.3,
-                        phase_s=0.25, phase_as=-0.5),
+                        visibility_cap=0.97, dark_count_prob=2e-5, crosstalk_eps=0.3),
         chain=ChainParams(l0=50.5, l_att=21.5, n_levels=3, fiber_speed=1.99e5,
                           eta_fc=0.5, eta_td=0.85, chi=0.02, mode_count=64, r0=0.75,
                           tau0=12.5, swap_intrinsic_factor=0.6),
@@ -160,7 +154,7 @@ class TestParseErrors:
         assert config.link.detection_eff == 1.0
 
     @pytest.mark.parametrize("text, error, key", [
-        ("[link]\nchi = 1e-7\ntrain_duration_s = 1\nmode_count = {}\n", ParameterError,
+        ("[link]\nchi = 1e-7\nmode_count = {}\n", ParameterError,
          "mode_count"),
         ("[experiment]\nmode_counts = 1, {}\n", ConfigError, "mode_counts"),
     ])

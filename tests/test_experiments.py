@@ -4,28 +4,31 @@ import numpy as np
 
 from dlczsim.experiments import (
     fringe_counts,
-    measure_visibility,
     mode_count_scan,
     storage_time_scan,
 )
+from dlczsim.fitters import fit_sinusoid
 from dlczsim.link_physics import fringe_visibility
 from dlczsim.streams import substream
 
 
 class TestMeasureVisibility:
+    """A scan point's visibility and its stderr come from a sinusoid fit of
+    the sampled fringe."""
+
     def test_fitted_visibility_tracks_closed_form(self, calibrated):
-        vis, stderr, fit = measure_visibility(calibrated, 1e-6, substream(1, 0),
-                                              phases=12, shots_per_phase=40_000)
-        assert fit is not None and fit.converged
+        fit = fit_sinusoid(fringe_counts(calibrated, 1e-6, substream(1, 0),
+                                         phases=12, shots_per_phase=40_000))
+        assert fit.converged
         truth = fringe_visibility(calibrated, 1e-6)[1]
-        assert abs(vis - truth) < 4 * stderr
+        assert abs(fit.params["visibility"] - truth) < 4 * fit.stderr["visibility"]
 
     def test_deterministic_per_seed(self, calibrated):
-        a = measure_visibility(calibrated, 1e-6, substream(3, 0),
-                               phases=12, shots_per_phase=4000)
-        b = measure_visibility(calibrated, 1e-6, substream(3, 0),
-                               phases=12, shots_per_phase=4000)
-        assert a[0] == b[0] and a[1] == b[1]
+        a, b = (fit_sinusoid(fringe_counts(calibrated, 1e-6, substream(3, 0),
+                                           phases=12, shots_per_phase=4000))
+                for _ in range(2))
+        assert a.params["visibility"] == b.params["visibility"]
+        assert a.stderr["visibility"] == b.stderr["visibility"]
 
 
 class TestFringeCounts:

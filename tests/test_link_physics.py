@@ -53,13 +53,9 @@ class TestLinkParams:
         # chi = 1 has no normalizable thermal law
         with pytest.raises(ParameterError, match="chi"):
             LinkParams(chi=1.0)
-        for name in ("chi", "memory_lifetime", "phase_s"):
+        for name in ("chi", "memory_lifetime"):
             with pytest.raises(ParameterError, match=name):
                 LinkParams(**{"chi": 0.01, name: math.nan})
-
-    def test_rejects_pulse_train_overflow(self):
-        with pytest.raises(ParameterError):
-            LinkParams(chi=0.01, mode_count=30, pulse_interval=400e-9, train_duration=8e-6)
 
     def test_warns_in_multi_excitation_regime(self):
         with pytest.warns(UserWarning, match="multi-excitation"):
@@ -538,20 +534,18 @@ class TestFringe:
         theta = np.linspace(0, 2 * np.pi, 4096)
         values = fringe_expectation(theta, 1e-6, calibrated)
         contrast = (values.max() - values.min()) / (values.max() + values.min())
-        _, v_eff, _ = fringe_visibility(calibrated, 1e-6)
+        _, v_eff = fringe_visibility(calibrated, 1e-6)
         assert contrast == pytest.approx(v_eff, abs=1e-6)
         assert v_eff == pytest.approx(0.795, abs=1e-9)
 
     def test_long_storage_visibility_within_reference_band(self, calibrated):
-        _, v_eff, _ = fringe_visibility(calibrated, 150e-6)
+        _, v_eff = fringe_visibility(calibrated, 150e-6)
         assert abs(v_eff - 0.700) < 0.024
 
-    def test_phase_offsets_shift_the_fringe(self, calibrated):
-        import dataclasses
-        params = dataclasses.replace(calibrated, phase_s=0.3, phase_as=0.5)
-        a0, v0, off = fringe_visibility(params, 1e-6)
-        assert off == pytest.approx(0.8)
-        assert fringe_expectation(-0.8, 1e-6, params) == pytest.approx(a0 * (1 + v0))
+    def test_fringe_peaks_at_zero_phase(self, calibrated):
+        a0, v0 = fringe_visibility(calibrated, 1e-6)
+        assert fringe_expectation(0.0, 1e-6, calibrated) == pytest.approx(a0 * (1 + v0))
+        assert fringe_expectation(np.pi, 1e-6, calibrated) == pytest.approx(a0 * (1 - v0))
 
     def test_visibility_cap_bounds_v_eff(self, calibrated):
         import dataclasses

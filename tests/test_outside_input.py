@@ -28,11 +28,10 @@ from dlczsim.link_physics import expected_herald_probability, expected_pmn
 
 BASE = {
     "link": {
-        "chi": "0.01", "mode_count": "12", "pulse_interval_s": "4e-07",
-        "train_duration_s": "8e-06", "retrieval_eff_zero": "0.707",
+        "chi": "0.01", "mode_count": "12", "retrieval_eff_zero": "0.707",
         "memory_lifetime_s": "0.0003", "detection_eff": "0.1848",
         "eta_td": "0.1239", "visibility_cap": "1.0", "dark_count_prob": "0.0",
-        "crosstalk_eps": "0.6664", "phase_s_rad": "0.0", "phase_as_rad": "0.0",
+        "crosstalk_eps": "0.6664",
     },
     "chain": {
         "l0_km": "63.0", "l_att_km": "22.0", "n_levels": "4",
