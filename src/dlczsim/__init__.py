@@ -9,7 +9,7 @@ The modules map onto the problem's layers:
     chain_sim      level-pooled Monte Carlo of the full chain
     fitters        weighted least-squares fits (exponential, linear, fringe)
     experiments    storage-time and mode-count scan pipelines
-    config_io      INI configs, manifests, deterministic result files
+    config_io      every input record and its key spec, INI configs, result files
     errors         exception types, value ranges and the field validator
     streams        seeded random sub-streams
     cli            the `dlczsim` command

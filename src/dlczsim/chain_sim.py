@@ -33,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config_io import SIM_FIELDS, ChainParams
 from .errors import ParameterError, StalledChainError, check_fields
-from .rate import ChainParams, elementary_p0, multiplexed_success, swap_chain
+from .rate import elementary_p0, multiplexed_success, swap_chain
 from .streams import substream
 
 __all__ = [
@@ -58,15 +59,6 @@ MAX_ROUND_LINKS = 2**20
 
 # start tick of a sample no trial uses; stays negative under any sum of offsets
 _NEVER = -2**62
-
-
-# check_fields spec of the run budget, shared with config_io.RunConfig, and
-# its [sim] keys
-SIM_FIELDS = (
-    ("trials", int, ">= 1"),
-    ("seed", int, ">= 0"),
-    ("max_sim_time", float, "> 0"),
-)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .chain_sim import simulate_chain, simulate_elementary_link
+from .chain_sim import SimConfig, simulate_chain, simulate_elementary_link
 from .config_io import (
+    CHAIN_FIELDS,
     canonical_json,
     format_cell,
     format_float,
@@ -39,7 +40,7 @@ from .errors import (RANGES, ConfigError, DlczSimError, NoHeraldsError, Paramete
                      StalledChainError, rule)
 from .experiments import mode_count_scan, storage_time_scan
 from .fitters import Samples, fit_exponential, fit_linear_origin, fit_sinusoid
-from .rate import CHAIN_FIELDS, swap_chain
+from .rate import swap_chain
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -107,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="least-squares fit of a CSV file")
     p_fit.add_argument("csv", type=Path, help="input CSV with header x,y[,weight]")
     p_fit.add_argument("--model", choices=("exp", "linear", "sinusoid"), required=True)
-    p_fit.add_argument("--seed", type=int, help="seed recorded in the manifest")
     p_fit.add_argument("--out-dir", type=Path, help="directory for result files")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -136,7 +136,7 @@ def _config_as_dict(config) -> dict:
     return out
 
 
-def _load_config(args):
+def _load_config(args, section: str):
     if args.config is None:
         raise ConfigError("this command requires --config")
     config = parse_config(args.config)
@@ -144,6 +144,8 @@ def _load_config(args):
         config = dataclasses.replace(config, seed=args.seed)
     if getattr(args, "trials", None) is not None:
         config = dataclasses.replace(config, trials=args.trials)
+    if getattr(config, section) is None:
+        raise ConfigError(f"{args.command} requires a [{section}] section")
     return config
 
 
@@ -183,9 +185,7 @@ class _Run:
 
 def cmd_rate(args) -> int:
     run = _Run(args, "rate")
-    config = _load_config(args)
-    if config.chain is None:
-        raise ConfigError("rate requires a [chain] section")
+    config = _load_config(args, "chain")
     try:
         report = swap_chain(config.chain)
     except StalledChainError as exc:
@@ -233,8 +233,9 @@ def cmd_rate(args) -> int:
 
 def cmd_simulate(args) -> int:
     run = _Run(args, "simulate")
-    config = _load_config(args)
-    sim = config.sim_config()
+    config = _load_config(args, "chain")
+    sim = SimConfig(chain=config.chain, trials=config.trials, seed=config.seed,
+                    max_sim_time=config.max_sim_time)
 
     if args.elementary:
         trace = simulate_elementary_link(sim.chain, sim.trials, sim.seed)
@@ -292,9 +293,7 @@ def _emit_scan(run: _Run, name: str, rows: list[dict]) -> None:
 
 def cmd_link_experiment(args) -> int:
     run = _Run(args, "link-experiment")
-    config = _load_config(args)
-    if config.link is None:
-        raise ConfigError("link-experiment requires a [link] section")
+    config = _load_config(args, "link")
     exp = config.experiment
     slots = (2 * config.link.mode_count * exp.trains * len(exp.storage_times_us)
              + sum(2 * n * max(1, exp.window_budget // n) for n in exp.mode_counts))
@@ -342,8 +341,7 @@ def cmd_fit(args) -> int:
     if not result.converged:
         print("error: fit did not converge", file=sys.stderr)
         code = EXIT_NO_CONVERGENCE
-    return run.finish({"csv": str(args.csv), "model": args.model},
-                      args.seed if args.seed is not None else 0, code)
+    return run.finish({"csv": str(args.csv), "model": args.model}, 0, code)
 
 
 def _monotonicity(values) -> str:
@@ -363,9 +361,7 @@ def _monotonicity(values) -> str:
 
 def cmd_sweep(args) -> int:
     run = _Run(args, "sweep")
-    config = _load_config(args)
-    if config.chain is None:
-        raise ConfigError("sweep requires a [chain] section")
+    config = _load_config(args, "chain")
     casts = {name: cast for name, cast, _ in CHAIN_FIELDS}
     if args.param not in casts:
         raise ConfigError(f"unknown chain parameter {args.param!r}; choose from "

@@ -1,27 +1,28 @@
-"""Configuration files and deterministic result writers.
+"""Every input record, the INI configs that set them, and the result writers.
 
-Configs are INI text with one section per parameter class. Each key is a
-field of that class's check_fields spec plus its unit suffix (l0_km, tau0_s,
-...), so a value can never be mis-read in the wrong unit. Result files are
-written atomically (temp file + rename) with every float serialized at 9
-significant digits, which makes reruns byte-comparable.
+Each record's check_fields spec is also its INI section: each key is a field
+plus its unit suffix (l0_km, tau0_s, ...), so a value can never be mis-read in
+the wrong unit. No numpy is imported, so a config is read and checked without
+loading a kernel. Result files are written atomically (temp file + rename)
+with every float at 9 significant digits, which makes reruns byte-comparable.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .chain_sim import SIM_FIELDS, SimConfig
-from .errors import ConfigError, check_fields
-from .link_physics import LINK_FIELDS, LinkParams
-from .rate import CHAIN_FIELDS, ChainParams
+from .errors import ConfigError, ParameterError, check_fields
 
 __all__ = [
+    "LinkParams",
+    "ChainParams",
     "ExperimentConfig",
     "RunConfig",
     "parse_config",
@@ -33,6 +34,130 @@ __all__ = [
     "write_csv_atomic",
 ]
 
+
+# check_fields spec of LinkParams, also its [link] keys
+LINK_FIELDS = (
+    ("chi", float, "in [0, 1)"),    # chi = 1 has no normalizable thermal law
+    ("mode_count", int, "in [1, 1000000]"),
+    ("retrieval_eff_zero", float, "in [0, 1]"),
+    ("memory_lifetime", float, "> 0"),
+    ("detection_eff", float, "in (0, 1]"),   # intrinsic_efficiency divides by it
+    ("eta_td", float, "in [0, 1]"),
+    ("visibility_cap", float, "in [0, 1]"),
+    ("dark_count_prob", float, "in [0, 1]"),
+    ("crosstalk_eps", float, "in [0, 1]"),
+)
+
+
+@dataclass(frozen=True)
+class LinkParams:
+    """Physical constants of one elementary link.
+
+    chi                 Stokes excitation probability per write pulse per node.
+    mode_count          temporal modes N per write train. Every mode is stored
+                        for the same time, so the write-pulse timing enters
+                        no observable.
+    retrieval_eff_zero  intrinsic retrieval efficiency at zero delay (R0).
+    memory_lifetime     spin-wave 1/e lifetime tau0, seconds.
+    detection_eff       total anti-Stokes detection efficiency (eta_D).
+    eta_td              total Stokes path + detector efficiency.
+    visibility_cap      interference-visibility ceiling from phase noise.
+    dark_count_prob     per-window false-click probability, per detector.
+    crosstalk_eps       probability that an excited non-addressed mode leaks
+                        one photon into a collected anti-Stokes mode at readout.
+    """
+
+    chi: float
+    mode_count: int = 12
+    retrieval_eff_zero: float = 0.707
+    memory_lifetime: float = 0.3e-3
+    detection_eff: float = 1.0
+    eta_td: float = 1.0
+    visibility_cap: float = 1.0
+    dark_count_prob: float = 0.0
+    crosstalk_eps: float = 0.0
+
+    def __post_init__(self):
+        check_fields(self, LINK_FIELDS)
+        if self.chi * self.mode_count >= 1.0:
+            warnings.warn(
+                f"chi*mode_count = {self.chi * self.mode_count:.3g} >= 1: multi-excitation "
+                "regime, the truncated photon-number law is a poor approximation",
+                stacklevel=2)
+
+
+# check_fields spec of ChainParams, also its [chain] keys and the parameters
+# `sweep` may vary
+CHAIN_FIELDS = (
+    ("l0", float, "> 0"),
+    ("l_att", float, "> 0"),
+    ("n_levels", int, ">= 0"),
+    ("fiber_speed", float, "> 0"),
+    ("eta_fc", float, "in [0, 1]"),
+    ("eta_td", float, "in [0, 1]"),
+    ("chi", float, "in [0, 1]"),
+    ("mode_count", int, ">= 1"),
+    ("r0", float, "in [0, 1]"),
+    ("tau0", float, "> 0"),
+    ("swap_intrinsic_factor", float, "in [0, 1]"),
+)
+
+
+@dataclass(frozen=True)
+class ChainParams:
+    """Topology and efficiency constants of one repeater chain.
+
+    l0       elementary link length, km.
+    l_att    fiber attenuation length, km.
+    n_levels nesting depth n; the chain spans 2**n * l0 km.
+    fiber_speed  signal speed in fiber, km/s.
+    eta_fc   memory-to-telecom frequency-conversion efficiency.
+    eta_td   total detection efficiency (Stokes and anti-Stokes channels).
+    chi      Stokes excitation probability per attempt.
+    mode_count   temporal modes N per communication interval.
+    r0       retrieval efficiency at zero delay.
+    tau0     memory lifetime, seconds.
+    swap_intrinsic_factor  extra per-swap success factor; 1 by default because
+        the rate recursion carries no Bell-measurement penalty, 0.5 models a
+        linear-optics BSM.
+    """
+
+    l0: float = 63.0
+    l_att: float = 22.0
+    n_levels: int = 4
+    fiber_speed: float = 2.0e5
+    eta_fc: float = 0.46
+    eta_td: float = 0.9
+    chi: float = 0.01
+    mode_count: int = 100
+    r0: float = 0.8
+    tau0: float = 16.0
+    swap_intrinsic_factor: float = 1.0
+
+    def __post_init__(self):
+        check_fields(self, CHAIN_FIELDS)
+        if not 0.0 < self.t_cc < math.inf:
+            raise ParameterError(
+                f"T_cc = l0/fiber_speed = {self.t_cc!r} s is not a positive finite time")
+
+    @property
+    def t_cc(self) -> float:
+        """Communication interval L0/c, seconds."""
+        return self.l0 / self.fiber_speed
+
+
+# check_fields spec of the run budget, also its [sim] keys; chain_sim.SimConfig
+# checks the same fields
+SIM_FIELDS = (
+    ("trials", int, ">= 1"),
+    ("seed", int, ">= 0"),
+    ("max_sim_time", float, "> 0"),
+)
+
+
+# Storage points a scan may have: experiments.mode_count_scan's substreams
+# start at this index, after the storage scan's
+MAX_STORAGE_TIMES = 1000
 
 # check_fields spec of ExperimentConfig, also its [experiment] keys
 EXPERIMENT_FIELDS = (
@@ -63,6 +188,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self, EXPERIMENT_FIELDS, ConfigError)
+        if len(self.storage_times_us) > MAX_STORAGE_TIMES:
+            raise ConfigError(f"storage_times_us must hold at most {MAX_STORAGE_TIMES} "
+                              f"values, got {len(self.storage_times_us)}")
 
     @property
     def storage_times(self) -> tuple[float, ...]:
@@ -82,12 +210,6 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self, SIM_FIELDS)
-
-    def sim_config(self) -> SimConfig:
-        if self.chain is None:
-            raise ConfigError("this command needs a [chain] section")
-        return SimConfig(chain=self.chain, trials=self.trials, seed=self.seed,
-                         max_sim_time=self.max_sim_time)
 
 
 # Unit suffix of a field's INI key; every other key is the bare field name.

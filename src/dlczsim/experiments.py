@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config_io import MAX_STORAGE_TIMES, LinkParams
 from .errors import NoHeraldsError, ParameterError
 from .fitters import Samples, fit_sinusoid
-from .link_physics import LinkParams, fringe_expectation, run_link_trials
+from .link_physics import fringe_expectation, run_link_trials
 from .metrics import bootstrap_concurrence_stderr, concurrence, intrinsic_efficiency
 from .streams import substream
 
@@ -35,7 +36,6 @@ class ScanPoint:
 
     storage_time: float
     mode_count: int
-    heralded: int
     concurrence: float
     concurrence_stderr: float
     visibility: float
@@ -43,7 +43,6 @@ class ScanPoint:
     fit_converged: bool
     efficiency: float
     detection_probability: float
-    detection_stderr: float
 
 
 def fringe_counts(params: LinkParams, storage_time: float, rng: np.random.Generator,
@@ -78,20 +77,16 @@ def _point(params: LinkParams, storage_time: float, trains: int, seed_root: int,
     stderr = bootstrap_concurrence_stderr(
         tally.pmn_counts.reshape(4), vis,
         substream(seed_root, stream, 2), visibility_stderr=vis_err)
-    p_d = tally.detection_probability
     return ScanPoint(
         storage_time=storage_time,
         mode_count=params.mode_count,
-        heralded=tally.heralded,
         concurrence=concurrence(tally.pmn(), vis),
         concurrence_stderr=stderr,
         visibility=vis,
         visibility_stderr=vis_err,
         fit_converged=fit.converged,
         efficiency=intrinsic_efficiency(tally.pmn(), params.detection_eff),
-        detection_probability=p_d,
-        # clicks across windows are nearly independent Bernoullis at these rates
-        detection_stderr=float(np.sqrt(max(p_d, 1.0 / tally.trains) / tally.trains)),
+        detection_probability=tally.detection_probability,
     )
 
 
@@ -115,6 +110,6 @@ def mode_count_scan(params: LinkParams, mode_counts, storage_time: float,
     for index, n in enumerate(mode_counts):
         n = int(n)
         points.append(_point(dataclasses.replace(params, mode_count=n), storage_time,
-                             max(1, window_budget // n), seed, 1000 + index, phases,
-                             shots_per_phase))
+                             max(1, window_budget // n), seed, MAX_STORAGE_TIMES + index,
+                             phases, shots_per_phase))
     return points

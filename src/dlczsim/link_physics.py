@@ -7,7 +7,8 @@ interfere on a beam splitter and a click on either output detector in window i
 heralds a shared excitation in mode i. A later read pulse converts the
 addressed spin wave into an anti-Stokes photon whose detection statistics
 (decay, loss, dark counts, crosstalk from the non-addressed modes) are the
-observables of interest.
+observables of interest. The link's constants are a `config_io.LinkParams`;
+every quantity derived from them is computed here.
 
 The model is intentionally semiclassical: per-mode occupation numbers are
 sampled from a truncated thermal law and detection is Bernoulli thinning.
@@ -30,18 +31,19 @@ the closed forms below state exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config_io import LinkParams
 from .errors import ParameterError, check_fields
 
 __all__ = [
-    "LinkParams",
     "PmnTable",
     "LinkTally",
     "run_link_trials",
+    "occupation_probs",
+    "retrieval_prob",
     "expected_window_detection",
     "expected_herald_probability",
     "expected_pmn",
@@ -54,72 +56,23 @@ __all__ = [
 MAX_EXCITATION = 2
 
 
-# check_fields spec of LinkParams, also the [link] keys config_io reads
-LINK_FIELDS = (
-    ("chi", float, "in [0, 1)"),    # chi = 1 has no normalizable thermal law
-    ("mode_count", int, "in [1, 1000000]"),
-    ("retrieval_eff_zero", float, "in [0, 1]"),
-    ("memory_lifetime", float, "> 0"),
-    ("detection_eff", float, "in (0, 1]"),   # intrinsic_efficiency divides by it
-    ("eta_td", float, "in [0, 1]"),
-    ("visibility_cap", float, "in [0, 1]"),
-    ("dark_count_prob", float, "in [0, 1]"),
-    ("crosstalk_eps", float, "in [0, 1]"),
-)
+def occupation_probs(params: LinkParams) -> np.ndarray:
+    """P(k) for k = 0..2: thermal law chi^k, truncated and renormalized.
 
-
-@dataclass(frozen=True)
-class LinkParams:
-    """Physical constants of one elementary link.
-
-    chi                 Stokes excitation probability per write pulse per node.
-    mode_count          temporal modes N per write train. Every mode is stored
-                        for the same time, so the write-pulse timing enters
-                        no observable.
-    retrieval_eff_zero  intrinsic retrieval efficiency at zero delay (R0).
-    memory_lifetime     spin-wave 1/e lifetime tau0, seconds.
-    detection_eff       total anti-Stokes detection efficiency (eta_D).
-    eta_td              total Stokes path + detector efficiency.
-    visibility_cap      interference-visibility ceiling from phase noise.
-    dark_count_prob     per-window false-click probability, per detector.
-    crosstalk_eps       probability that an excited non-addressed mode leaks
-                        one photon into a collected anti-Stokes mode at readout.
+    Renormalizing by (1 - chi^3) keeps the defining ratio
+    P(k+1)/P(k) = chi exact inside the truncated support.
     """
+    weights = np.array([params.chi ** k for k in range(MAX_EXCITATION + 1)])
+    return (1.0 - params.chi) * weights / (1.0 - params.chi ** (MAX_EXCITATION + 1))
 
-    chi: float
-    mode_count: int = 12
-    retrieval_eff_zero: float = 0.707
-    memory_lifetime: float = 0.3e-3
-    detection_eff: float = 1.0
-    eta_td: float = 1.0
-    visibility_cap: float = 1.0
-    dark_count_prob: float = 0.0
-    crosstalk_eps: float = 0.0
 
-    def __post_init__(self):
-        check_fields(self, LINK_FIELDS)
-        if self.chi * self.mode_count >= 1.0:
-            warnings.warn(
-                f"chi*mode_count = {self.chi * self.mode_count:.3g} >= 1: multi-excitation "
-                "regime, the truncated photon-number law is a poor approximation",
-                stacklevel=2)
-
-    def occupation_probs(self) -> np.ndarray:
-        """P(k) for k = 0..2: thermal law chi^k, truncated and renormalized.
-
-        Renormalizing by (1 - chi^3) keeps the defining ratio
-        P(k+1)/P(k) = chi exact inside the truncated support.
-        """
-        weights = np.array([self.chi ** k for k in range(MAX_EXCITATION + 1)])
-        return (1.0 - self.chi) * weights / (1.0 - self.chi ** (MAX_EXCITATION + 1))
-
-    def retrieval_prob(self, storage_time: float) -> float:
-        """Spin-wave -> detected anti-Stokes photon probability after storage."""
-        if storage_time < 0:
-            raise ParameterError(f"storage_time must be >= 0, got {storage_time}")
-        return (self.retrieval_eff_zero
-                * float(np.exp(-storage_time / self.memory_lifetime))
-                * self.detection_eff)
+def retrieval_prob(params: LinkParams, storage_time: float) -> float:
+    """Spin-wave -> detected anti-Stokes photon probability after storage."""
+    if storage_time < 0:
+        raise ParameterError(f"storage_time must be >= 0, got {storage_time}")
+    return (params.retrieval_eff_zero
+            * float(np.exp(-storage_time / params.memory_lifetime))
+            * params.detection_eff)
 
 
 @dataclass(frozen=True)
@@ -168,7 +121,7 @@ class PmnTable:
 def _slot_law(params: LinkParams) -> np.ndarray:
     """(3, 3) joint law of a slot's occupation k (row) and surviving Stokes
     photons j (column): P(k) * C(k, j) * eta_td^j * (1 - eta_td)^(k - j)."""
-    probs, eta = params.occupation_probs(), params.eta_td
+    probs, eta = occupation_probs(params), params.eta_td
     return np.array([[probs[k] * math.comb(k, j) * eta ** j * (1.0 - eta) ** (k - j)
                       if j <= k else 0.0 for j in range(MAX_EXCITATION + 1)]
                      for k in range(MAX_EXCITATION + 1)])
@@ -292,7 +245,7 @@ def _readout_counts(slot: np.ndarray, k: np.ndarray, herald: np.ndarray, at: np.
     dark counts add one click.
     """
     n_modes = params.mode_count
-    p_ret = params.retrieval_prob(storage_time)
+    p_ret = retrieval_prob(params, storage_time)
     unlit_law = _slot_law(params)[:, 0]
     padded_slot, padded_k = np.append(slot, -1), np.append(k, 0)   # -1 and 0 past the end
     lit_l = padded_slot[at] == 2 * herald        # the herald window's L slot; its R slot is next
@@ -399,7 +352,7 @@ class _HeraldComposition:
 
 
 def _herald_composition(params: LinkParams) -> _HeraldComposition:
-    probs = params.occupation_probs()
+    probs = occupation_probs(params)
     dark_pass = (1.0 - params.dark_count_prob) ** 2
     ks = np.arange(MAX_EXCITATION + 1)
     # per-node probability that none of its photons survives to a detector
@@ -431,7 +384,7 @@ def expected_window_detection(params: LinkParams) -> float:
     The per-train multiplexed detection probability is mode_count times this
     value: counting clicks per window is linear in N by construction.
     """
-    probs = params.occupation_probs()
+    probs = occupation_probs(params)
     ks = np.arange(MAX_EXCITATION + 1)
     # a photon misses a given detector if it is lost or exits the other port
     h = float((probs * (1.0 - params.eta_td / 2.0) ** ks).sum())
@@ -460,7 +413,7 @@ def _background_factors(params: LinkParams, comp: _HeraldComposition, scale: flo
 def expected_pmn(params: LinkParams, storage_time: float) -> PmnTable:
     """Closed-form PmnTable for the sampling model of `run_link_trials`."""
     comp = _herald_composition(params)
-    p_ret = params.retrieval_prob(storage_time)
+    p_ret = retrieval_prob(params, storage_time)
     leak = params.crosstalk_eps * params.detection_eff
     dark_pass = 1.0 - params.dark_count_prob
 
@@ -498,7 +451,7 @@ def fringe_visibility(params: LinkParams, storage_time: float) -> tuple[float, f
     and it decays with storage time as the signal fades into that background.
     """
     comp = _herald_composition(params)
-    p_ret = params.retrieval_prob(storage_time)
+    p_ret = retrieval_prob(params, storage_time)
     leak = params.crosstalk_eps * params.detection_eff
 
     w = comp.manifold

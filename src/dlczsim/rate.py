@@ -13,69 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, StalledChainError, check_fields
+from .config_io import ChainParams
+from .errors import ParameterError, StalledChainError
 
-__all__ = ["ChainParams", "ChainReport", "elementary_p0", "multiplexed_success", "swap_chain"]
-
-
-# check_fields spec of ChainParams, also the [chain] keys config_io reads and
-# the parameters `sweep` may vary
-CHAIN_FIELDS = (
-    ("l0", float, "> 0"),
-    ("l_att", float, "> 0"),
-    ("n_levels", int, ">= 0"),
-    ("fiber_speed", float, "> 0"),
-    ("eta_fc", float, "in [0, 1]"),
-    ("eta_td", float, "in [0, 1]"),
-    ("chi", float, "in [0, 1]"),
-    ("mode_count", int, ">= 1"),
-    ("r0", float, "in [0, 1]"),
-    ("tau0", float, "> 0"),
-    ("swap_intrinsic_factor", float, "in [0, 1]"),
-)
-
-
-@dataclass(frozen=True)
-class ChainParams:
-    """Topology and efficiency constants of one repeater chain.
-
-    l0       elementary link length, km.
-    l_att    fiber attenuation length, km.
-    n_levels nesting depth n; the chain spans 2**n * l0 km.
-    fiber_speed  signal speed in fiber, km/s.
-    eta_fc   memory-to-telecom frequency-conversion efficiency.
-    eta_td   total detection efficiency (Stokes and anti-Stokes channels).
-    chi      Stokes excitation probability per attempt.
-    mode_count   temporal modes N per communication interval.
-    r0       retrieval efficiency at zero delay.
-    tau0     memory lifetime, seconds.
-    swap_intrinsic_factor  extra per-swap success factor; 1 by default because
-        the rate recursion carries no Bell-measurement penalty, 0.5 models a
-        linear-optics BSM.
-    """
-
-    l0: float = 63.0
-    l_att: float = 22.0
-    n_levels: int = 4
-    fiber_speed: float = 2.0e5
-    eta_fc: float = 0.46
-    eta_td: float = 0.9
-    chi: float = 0.01
-    mode_count: int = 100
-    r0: float = 0.8
-    tau0: float = 16.0
-    swap_intrinsic_factor: float = 1.0
-
-    def __post_init__(self):
-        check_fields(self, CHAIN_FIELDS)
-        if not 0.0 < self.t_cc < math.inf:
-            raise ParameterError(
-                f"T_cc = l0/fiber_speed = {self.t_cc!r} s is not a positive finite time")
-
-    @property
-    def t_cc(self) -> float:
-        """Communication interval L0/c, seconds."""
-        return self.l0 / self.fiber_speed
+__all__ = ["ChainReport", "elementary_p0", "multiplexed_success", "swap_chain"]
 
 
 @dataclass(frozen=True)

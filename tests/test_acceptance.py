@@ -19,11 +19,12 @@ import pytest
 
 from dlczsim.chain_sim import SimConfig, simulate_chain, simulate_elementary_link
 from dlczsim.cli import main as cli_main
+from dlczsim.config_io import ChainParams
 from dlczsim.experiments import mode_count_scan, storage_time_scan
 from dlczsim.fitters import Samples, fit_exponential, fit_linear_origin
 from dlczsim.link_physics import expected_window_detection, run_link_trials
 from dlczsim.metrics import PmnTable, concurrence, intrinsic_efficiency, visibility
-from dlczsim.rate import ChainParams, multiplexed_success, swap_chain
+from dlczsim.rate import multiplexed_success, swap_chain
 from dlczsim.streams import substream
 
 from conftest import CALIBRATED_LINK

@@ -7,8 +7,9 @@ import scipy.stats
 
 from dlczsim import chain_sim
 from dlczsim.chain_sim import SimConfig, _round, simulate_chain, simulate_elementary_link
+from dlczsim.config_io import ChainParams
 from dlczsim.errors import ParameterError, StalledChainError
-from dlczsim.rate import ChainParams, elementary_p0, multiplexed_success, swap_chain
+from dlczsim.rate import elementary_p0, multiplexed_success
 
 PROJECTION = ChainParams()  # defaults are the long-distance projection set
 

@@ -569,6 +569,13 @@ class TestManifest:
         assert run(["fit", csv, "--model", "linear", "--out-dir", out]) == 5
         assert json.loads((out / "manifest.json").read_text())["command"] == "fit"
 
+    def test_fit_records_seed_zero(self, tmp_path):
+        # a fit draws nothing, so it takes no --seed
+        out = tmp_path / "out"
+        csv = Path(__file__).parent / "data" / "fit_linear.csv"
+        assert run(["fit", csv, "--model", "linear", "--out-dir", out]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+
     def test_absent_after_an_error_exit(self, tmp_path):
         out = tmp_path / "out"
         config = tmp_path / "link.ini"
@@ -670,6 +677,22 @@ class TestArgumentTypes:
         assert re.search(r"(?<![\w])_[a-z]", err) is None
 
 
+class TestMissingSection:
+    @pytest.mark.parametrize("argv, section", [
+        (["rate"], "chain"),
+        (["simulate"], "chain"),
+        (["simulate", "--elementary"], "chain"),
+        (["sweep", "--param", "r0", "--min", 0.1, "--max", 0.9], "chain"),
+        (["link-experiment"], "link"),
+    ])
+    def test_names_the_command_and_section(self, tmp_path, capsys, argv, section):
+        path = tmp_path / "sim.ini"
+        path.write_text("[sim]\nseed = 3\n")
+        assert run([*argv, "--config", path, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {argv[0]} requires a [{section}] section\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestUnreadFlags:
     """A flag a command never reads is an argparse error, not a silent no-op."""
 
@@ -680,6 +703,7 @@ class TestUnreadFlags:
         ["sweep", "--config", CONFIGS / "projection.ini", "--param", "r0",
          "--min", 0.1, "--max", 0.9, "--format", "csv"],
         ["fit", "data.csv", "--model", "linear", "--config", "/nonexistent.ini"],
+        ["fit", "data.csv", "--model", "linear", "--seed", 1],
     ])
     def test_exits_two(self, argv):
         with pytest.raises(SystemExit) as exc:

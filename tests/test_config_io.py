@@ -1,10 +1,18 @@
+import ast
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from dlczsim import config_io
 from dlczsim.config_io import (
+    ChainParams,
     ExperimentConfig,
+    LinkParams,
     RunConfig,
     canonical_json,
     format_float,
@@ -13,8 +21,6 @@ from dlczsim.config_io import (
     write_csv_atomic,
 )
 from dlczsim.errors import ConfigError, ParameterError
-from dlczsim.link_physics import LinkParams
-from dlczsim.rate import ChainParams
 
 
 # every key of every section, each set away from its default and to a value
@@ -171,6 +177,14 @@ class TestParseErrors:
         config = parse_config_text(f"[experiment]\nfringe_shots = {10**12}\n")
         assert config.experiment.fringe_shots == 10**12
 
+    def test_more_than_a_thousand_storage_times_are_rejected_when_parsed(self):
+        # the mode scan's substreams start where the 1001st storage point's would
+        times = ", ".join(["1.0"] * 1001)
+        with pytest.raises(ConfigError, match="storage_times_us must hold at most 1000"):
+            parse_config_text(f"[experiment]\nstorage_times_us = {times}\n")
+        config = parse_config_text(f"[experiment]\nstorage_times_us = {times[5:]}\n")
+        assert len(config.experiment.storage_times_us) == 1000
+
 
 class TestResultFormatting:
     def test_format_float_is_nine_significant_digits(self):
@@ -217,3 +231,26 @@ class TestExperimentConfigValidation:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="storage_times_us"):
                 ExperimentConfig(storage_times_us=(1.0, bad))
+
+
+class TestNoNumpy:
+    """Reading a config loads no kernel: config_io imports no numpy."""
+
+    def test_parsing_the_shipped_configs_leaves_numpy_unloaded(self):
+        root = Path(__file__).resolve().parents[1]
+        code = ("import sys\n"
+                "import dlczsim.config_io as config_io\n"
+                "for name in ('projection.ini', 'link_calibrated.ini'):\n"
+                f"    config_io.parse_config({str(root / 'configs')!r} + '/' + name)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True)
+        assert done.stdout.strip() == "[]"
+
+    def test_config_io_imports_no_package_module_but_errors(self):
+        tree = ast.parse(Path(config_io.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                imported |= {node.module} if node.module else {a.name for a in node.names}
+        assert imported == {"errors"}

@@ -10,15 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from dlczsim.config_io import parse_config
+from dlczsim.config_io import CHAIN_FIELDS, LINK_FIELDS, parse_config
 from dlczsim.link_physics import (
-    LINK_FIELDS,
     expected_herald_probability,
     expected_pmn,
     expected_window_detection,
     fringe_visibility,
 )
-from dlczsim.rate import CHAIN_FIELDS, swap_chain
+from dlczsim.rate import swap_chain
 
 from conftest import CALIBRATED_LINK
 

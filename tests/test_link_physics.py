@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from dlczsim.config_io import LinkParams
 from dlczsim.errors import ParameterError
 from dlczsim.fitters import Samples, fit_exponential
 from dlczsim.link_physics import (
-    LinkParams,
     PmnTable,
     _binomial,
     _categorical,
@@ -24,6 +24,8 @@ from dlczsim.link_physics import (
     expected_window_detection,
     fringe_expectation,
     fringe_visibility,
+    occupation_probs,
+    retrieval_prob,
     run_link_trials,
 )
 from dlczsim.metrics import concurrence
@@ -63,7 +65,7 @@ class TestLinkParams:
 
     def test_occupation_probs_normalized_with_thermal_ratio(self):
         params = LinkParams(chi=0.3, mode_count=1)
-        probs = params.occupation_probs()
+        probs = occupation_probs(params)
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
         assert probs[2] / probs[1] == pytest.approx(0.3, abs=1e-15)
         assert probs[1] / probs[0] == pytest.approx(0.3, abs=1e-15)
@@ -116,7 +118,7 @@ class TestSampleLitSlots:
         # oracle: a slot is lit unless all of its k photons are lost,
         # q_lit = 1 - sum_k P(k) (1 - eta_td)^k, over 10^6 calibrated trains;
         # lit slots are distinct, ascending and inside the slot range
-        probs = calibrated.occupation_probs()
+        probs = occupation_probs(calibrated)
         q_lit = 1.0 - sum(p * (1.0 - calibrated.eta_td) ** k for k, p in enumerate(probs))
         slot, _, _ = _sample_lit(calibrated, 1_000_000, substream(42, 0))
         n_slots = 1_000_000 * 2 * calibrated.mode_count
@@ -129,7 +131,7 @@ class TestSampleLitSlots:
         # (1 - eta)^(k - j); its three cells (1, 1), (2, 1), (2, 2) must pass
         # a chi-squared test at p = 1e-4, and no other cell may appear
         params = LinkParams(chi=0.5, mode_count=1, eta_td=0.4)
-        _, p1, p2 = params.occupation_probs()
+        _, p1, p2 = occupation_probs(params)
         eta = params.eta_td
         cells = {(1, 1): p1 * eta, (2, 1): p2 * 2 * eta * (1 - eta), (2, 2): p2 * eta ** 2}
         slot, k, photons = _sample_lit(params, 200_000, substream(7, 0))
@@ -273,7 +275,7 @@ def reference_readout(slot, k, train, mode, storage_time, params, rng):
     the herald positions from the Stokes pass: three searches of ``slot``, a
     ``searchsorted`` categorical and every binomial over the full arrays."""
     n_modes = params.mode_count
-    p_ret = params.retrieval_prob(storage_time)
+    p_ret = retrieval_prob(params, storage_time)
     unlit_law = _slot_law(params)[:, 0]
     herald = (train * n_modes + mode) * 2
     lo, at, hi = np.searchsorted(slot, [train * 2 * n_modes, herald, (train + 1) * 2 * n_modes])

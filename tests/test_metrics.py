@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dlczsim.errors import ParameterError
-from dlczsim.link_physics import LinkParams, PmnTable, run_link_trials
+from dlczsim.link_physics import PmnTable, run_link_trials
 from dlczsim.metrics import (
     bootstrap_concurrence_stderr,
     concurrence,

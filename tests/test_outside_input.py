@@ -5,7 +5,7 @@ values included) into every key of one section in turn. `[chain]` keys run
 the `rate` command, which must exit 0, 2 or 3 with nothing else escaping and,
 on exit 0, print a finite rate.
 `[link]`, `[sim]` and `[experiment]` keys are parsed and fed to the closed
-forms or to `sim_config()`, which must raise ConfigError/ParameterError or
+forms or to a `SimConfig`, which must raise ConfigError/ParameterError or
 return finite values. `simulate` and `link-experiment` are not run on drawn
 values: a swap that almost never succeeds under a huge finite time guard
 lets each trial draw up to a round's `chain_sim.MAX_ROUND_LINKS` links, so a
@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dlczsim import cli
+from dlczsim.chain_sim import SimConfig
 from dlczsim.config_io import parse_config_text
 from dlczsim.errors import ConfigError, ParameterError
 from dlczsim.link_physics import expected_herald_probability, expected_pmn
@@ -68,7 +69,8 @@ def config_text(section: str, key: str, value: float) -> str:
 def test_base_config_is_valid():
     config = parse_config_text(config_text("sim", "seed", 1))
     assert expected_herald_probability(config.link) > 0.0
-    assert config.sim_config().trials == 1000
+    assert SimConfig(chain=config.chain, trials=config.trials, seed=config.seed,
+                     max_sim_time=config.max_sim_time).trials == 1000
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,7 +99,8 @@ def test_any_float_in_any_key_is_rejected_or_gives_finite_values(section, value)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")   # the multi-excitation warning
                 config = parse_config_text(config_text(section, key, value))
-                sim = config.sim_config()
+                sim = SimConfig(chain=config.chain, trials=config.trials, seed=config.seed,
+                                max_sim_time=config.max_sim_time)
                 herald = expected_herald_probability(config.link)
                 pmn = expected_pmn(config.link, config.experiment.storage_times[0])
         except (ConfigError, ParameterError):

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from dlczsim.config_io import ChainParams
 from dlczsim.errors import ParameterError, StalledChainError
-from dlczsim.rate import ChainParams, elementary_p0, multiplexed_success, swap_chain
+from dlczsim.rate import elementary_p0, multiplexed_success, swap_chain
 
 PROJECTION = ChainParams(
     l0=63.0, l_att=22.0, n_levels=4, fiber_speed=2.0e5,
