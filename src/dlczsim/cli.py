@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
+import os
 import sys
 import time
 import warnings
@@ -77,6 +79,7 @@ def _flag(cast, allowed):
     return convert
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dlczsim",
@@ -152,26 +155,39 @@ def _load_config(args, section: str):
 class _Run:
     """Start time, result files and manifest of one command.
 
-    Files are written only under --out-dir.
+    Files are written only under --out-dir. A path that is, or lies under, an
+    existing non-directory is rejected before any work; the directory itself
+    is made by the first write, so a run that fails first leaves none.
     """
 
     def __init__(self, args, command: str):
         self.out_dir, self.command = args.out_dir, command
         self.started = time.time()
         self.outputs: list[str] = []
+        if self.out_dir is not None:
+            found = next((p for p in (self.out_dir, *self.out_dir.parents)
+                          if os.path.exists(p)), None)
+            if found is not None and not os.path.isdir(found):
+                raise ConfigError(f"--out-dir {self.out_dir}: {found} is not a directory")
+
+    def _write(self, name: str, write, *args, **kwargs) -> str:
+        path = self.out_dir / name
+        try:
+            write(path, *args, **kwargs)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+        return str(path)
 
     def emit(self, name: str, write, *args, **kwargs) -> None:
         """Write result file ``name`` with ``write(path, *args, **kwargs)``."""
         if self.out_dir is not None:
-            path = Path(self.out_dir) / name
-            write(path, *args, **kwargs)
-            self.outputs.append(str(path))
+            self.outputs.append(self._write(name, write, *args, **kwargs))
 
     def finish(self, parameters: dict, seed: int, code: int = EXIT_OK) -> int:
         """Write the manifest and return the exit code."""
         if self.out_dir is not None:
             now = time.time()
-            write_text_atomic(Path(self.out_dir) / "manifest.json", canonical_json({
+            self._write("manifest.json", write_text_atomic, canonical_json({
                 "artifact_version": ARTIFACT_VERSION,
                 "command": self.command,
                 "created_unix": now,
@@ -379,13 +395,13 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for value in grid:
-        chain = dataclasses.replace(config.chain, **{args.param: value})
-        if args.fixed_total_km is not None:
-            # keep 2^n * l0 as close to the requested span as integer n allows;
-            # the replace above has checked l0 > 0, and a difference of logs
-            # stays finite where the ratio would overflow
-            n_levels = max(0, round(math.log2(args.fixed_total_km) - math.log2(value)))
-            chain = dataclasses.replace(chain, n_levels=n_levels)
+        fields = {args.param: value}
+        if args.fixed_total_km is not None and value > 0:
+            # keep 2^n * l0 as close to the requested span as integer n allows (a
+            # difference of logs stays finite where the ratio would overflow);
+            # ChainParams names a non-positive l0
+            fields["n_levels"] = max(0, round(math.log2(args.fixed_total_km) - math.log2(value)))
+        chain = dataclasses.replace(config.chain, **fields)
         try:
             rate = swap_chain(chain).rate_hz
         except StalledChainError:
@@ -409,8 +425,7 @@ def _show_warning(message, *args, **kwargs) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         # a library warning is one `warning:` line, like every other diagnostic
         warnings.showwarning = _show_warning

@@ -269,8 +269,8 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
 def parse_config(path) -> RunConfig:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, source=str(path))
 

@@ -1,7 +1,10 @@
 import ast
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -79,6 +82,16 @@ class TestRate:
     def test_domain_violation_exits_three(self, tmp_path):
         config = write_chain_config(tmp_path, chi=1.5)
         assert run(["rate", "--config", config]) == 3
+
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "latin.ini"
+        config.write_bytes(b"[chain]\nl0_km = 63\n# \xff\xfe\n")
+        out = tmp_path / "out"
+        assert run(["rate", "--config", config, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {config}: 'utf-8' codec")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("l0_km", "1e-308"),   # T_cc subnormal: rate = .../T_cc overflows
@@ -656,6 +669,15 @@ class TestSweep:
                     "--fixed-total-km", "1e300", "--out-dir", out]) == 0
         assert (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("low", [0, -5])
+    def test_fixed_total_with_a_non_positive_l0_names_l0(self, tmp_path, capsys, low):
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", CONFIGS / "projection.ini", "--param", "l0",
+                    "--min", low, "--max", 100, "--fixed-total-km", 1000,
+                    "--out-dir", out]) == 3
+        assert capsys.readouterr().err == f"error: l0 must be finite and > 0, got {low:.1f}\n"
+        assert not out.exists()
+
 
 class TestArgumentTypes:
     """A non-numeric flag value is reported against the flag, in plain words."""
@@ -717,6 +739,90 @@ class TestUnreadFlags:
         lines = (out / "rate.csv").read_text().splitlines()
         assert lines[0] == "level,p_i,t_i_s"
         assert not (out / "rate.json").exists()
+
+
+class TestOutDir:
+    """An --out-dir that cannot hold the results exits 2, not with a traceback."""
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_file_in_the_path_exits_two_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                          below):
+        config = write_chain_config(tmp_path)
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        monkeypatch.setattr(cli, "swap_chain", lambda *a: pytest.fail("the rate ran"))
+        monkeypatch.setattr(cli, "parse_config", lambda *a: pytest.fail("the config was read"))
+        out = blocker / below if below else blocker
+        assert run(["rate", "--config", config, "--out-dir", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out-dir {out}: {blocker} is not a directory\n"
+        assert captured.out == ""
+        assert blocker.read_text() == "kept\n"
+
+    def test_simulate_runs_no_trial_into_a_file(self, tmp_path, monkeypatch, capsys):
+        config = write_chain_config(tmp_path)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        monkeypatch.setattr(cli, "simulate_chain", lambda *a: pytest.fail("a trial ran"))
+        assert run(["simulate", "--config", config, "--out-dir", blocker]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+
+    def test_result_file_that_cannot_be_written_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "rate.json").mkdir(parents=True)
+        assert run(["rate", "--config", CONFIGS / "projection.ini", "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / 'rate.json'}: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["rate.json"]
+
+
+def _results(out: Path) -> dict:
+    """Every file a run wrote, with the manifest's time stamps and paths taken out."""
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    for key in ("created_unix", "duration_s"):
+        del manifest[key]
+    manifest["outputs"] = [Path(p).name for p in manifest["outputs"]]
+    return {**files, "manifest.json": manifest}
+
+
+class TestParserCache:
+    """The parser is built once per process, and every call still parses afresh."""
+
+    ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        code = "import dlczsim.cli as c; print(c.build_parser.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=self.ENV, check=True)
+        assert done.stdout.strip() == "0"
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        config = write_chain_config(tmp_path)
+        calls = [["simulate", "--trials", "5"], ["simulate"], ["rate", "--format", "csv"],
+                 ["rate", "--format", "xml"], ["rate"], ["simulate", "--seed", "9"],
+                 ["simulate"]]
+        fresh = {}
+        for k, argv in enumerate(calls):
+            argv = [*argv, "--config", str(config)]
+            if "xml" in argv:
+                with pytest.raises(SystemExit) as exc:
+                    run(argv)
+                assert exc.value.code == 2
+                capsys.readouterr()
+                continue
+            assert run([*argv, "--out-dir", tmp_path / f"in{k}"]) == 0
+            if tuple(argv) not in fresh:
+                out = tmp_path / f"fresh{k}"
+                done = subprocess.run([sys.executable, "-m", "dlczsim.cli", *argv,
+                                       "--out-dir", out], capture_output=True, text=True,
+                                      env=self.ENV, check=True)
+                fresh[tuple(argv)] = done.stdout, _results(out)
+            assert (capsys.readouterr().out, _results(tmp_path / f"in{k}")) == fresh[tuple(argv)]
 
 
 class TestImportGraph:
