@@ -93,8 +93,13 @@ def _point(params: LinkParams, storage_time: float, trains: int, seed_root: int,
 def storage_time_scan(params: LinkParams, storage_times, trains: int, seed: int,
                       phases: int, shots_per_phase: int) -> list[ScanPoint]:
     """Run the full pipeline at each storage time. ``trains`` applies per point."""
-    return [_point(params, float(t), trains, seed, index, phases, shots_per_phase)
-            for index, t in enumerate(storage_times)]
+    times = [float(t) for t in storage_times]
+    if len(times) > MAX_STORAGE_TIMES:
+        raise ParameterError(f"got {len(times)} storage times, more than MAX_STORAGE_TIMES = "
+                             f"{MAX_STORAGE_TIMES}: the later ones would share the mode scan's "
+                             "random streams")
+    return [_point(params, t, trains, seed, index, phases, shots_per_phase)
+            for index, t in enumerate(times)]
 
 
 def mode_count_scan(params: LinkParams, mode_counts, storage_time: float,

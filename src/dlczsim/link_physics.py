@@ -26,6 +26,9 @@ unlit slots: k at the herald window from its law given no survivor, and the
 other excited unlit slots as one binomial count, exact since slots are
 independent. Every tally thus has the law of i.i.d. slots and windows, which
 the closed forms below state exactly.
+The sampler and every closed form read one record of the link's exact law at
+one storage time, `_LinkLaw`, which only `_link_law(params, storage_time)`
+builds; nothing else computes the slot, retrieval, leak or herald laws.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
     "LinkTally",
     "run_link_trials",
     "occupation_probs",
-    "retrieval_prob",
     "expected_window_detection",
     "expected_herald_probability",
     "expected_pmn",
@@ -54,6 +56,7 @@ __all__ = [
 # Fock truncation of the per-mode thermal law. Truncation error is O(chi^3),
 # negligible at the ~1% excitation probabilities this model targets.
 MAX_EXCITATION = 2
+_K = np.arange(MAX_EXCITATION + 1)   # the occupations a mode can hold
 
 
 def occupation_probs(params: LinkParams) -> np.ndarray:
@@ -64,15 +67,6 @@ def occupation_probs(params: LinkParams) -> np.ndarray:
     """
     weights = np.array([params.chi ** k for k in range(MAX_EXCITATION + 1)])
     return (1.0 - params.chi) * weights / (1.0 - params.chi ** (MAX_EXCITATION + 1))
-
-
-def retrieval_prob(params: LinkParams, storage_time: float) -> float:
-    """Spin-wave -> detected anti-Stokes photon probability after storage."""
-    if storage_time < 0:
-        raise ParameterError(f"storage_time must be >= 0, got {storage_time}")
-    return (params.retrieval_eff_zero
-            * float(np.exp(-storage_time / params.memory_lifetime))
-            * params.detection_eff)
 
 
 @dataclass(frozen=True)
@@ -110,6 +104,64 @@ class PmnTable:
 
 
 # ---------------------------------------------------------------------------
+# the link's exact law at one storage time
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _LinkLaw:
+    """Exact law of one link at one storage time: the sampler draws from it
+    and every closed form reads it."""
+
+    params: LinkParams
+    slot_law: np.ndarray       # (3, 3) joint law of a slot's k (row) and survivors j (column)
+    q_pre: float               # P(slot excited | none of its photons survives)
+    q_post: float              # P(slot excited), unconditioned
+    p_ret: float               # P(spin wave -> detected anti-Stokes photon) after storage
+    leak: float                # P(an excited non-addressed slot leaks one detected photon)
+    window_probs: np.ndarray   # (N,) distribution of the heralded window index
+    herald_prob: float         # P(any window clicks) per train
+    herald_weights: np.ndarray  # (3, 3) unnormalized law of (k_L, k_R) at a clicking window
+
+    def manifold(self) -> np.ndarray:
+        """(3, 3) posterior of (k_L, k_R) at the heralded window."""
+        weight = self.herald_weights.sum()
+        if weight == 0.0:
+            raise ParameterError(
+                "herald probability is zero (no excitation and no dark counts); "
+                "conditional readout statistics are undefined")
+        return self.herald_weights / weight
+
+
+def _link_law(params: LinkParams, storage_time: float) -> _LinkLaw:
+    """The record of ``params`` after ``storage_time``. It raises only for a
+    negative storage time, so a link that can never herald still samples."""
+    if storage_time < 0:
+        raise ParameterError(f"storage_time must be >= 0, got {storage_time}")
+    probs, eta = occupation_probs(params), params.eta_td
+    slot_law = np.array([[probs[k] * math.comb(k, j) * eta ** j * (1.0 - eta) ** (k - j)
+                          if j <= k else 0.0 for j in range(MAX_EXCITATION + 1)]
+                         for k in range(MAX_EXCITATION + 1)])
+    # per-node probability that none of its photons survives to a detector
+    g = float(slot_law[:, 0].sum())
+    dark_pass = (1.0 - params.dark_count_prob) ** 2
+    no_click = g * g * dark_pass
+    click = 1.0 - (1.0 - eta) ** (_K[:, None] + _K[None, :]) * dark_pass
+    w = no_click ** np.arange(params.mode_count)
+    return _LinkLaw(
+        params=params,
+        slot_law=slot_law,
+        q_pre=1.0 - probs[0] / g,
+        q_post=1.0 - probs[0],
+        p_ret=(params.retrieval_eff_zero * float(np.exp(-storage_time / params.memory_lifetime))
+               * params.detection_eff),
+        leak=params.crosstalk_eps * params.detection_eff,
+        window_probs=w / w.sum(),
+        herald_prob=1.0 - no_click ** params.mode_count,
+        herald_weights=probs[:, None] * probs[None, :] * click,
+    )
+
+
+# ---------------------------------------------------------------------------
 # sampling stages, sparse over one chunk of trains
 #
 # A slot is one (train, node, mode), flattened as (train * N + mode) * 2 + node
@@ -117,15 +169,6 @@ class PmnTable:
 # lit when one of its Stokes photons survives the path. The stages carry only
 # the lit slots and the clicking windows, each in ascending index order.
 # ---------------------------------------------------------------------------
-
-def _slot_law(params: LinkParams) -> np.ndarray:
-    """(3, 3) joint law of a slot's occupation k (row) and surviving Stokes
-    photons j (column): P(k) * C(k, j) * eta_td^j * (1 - eta_td)^(k - j)."""
-    probs, eta = occupation_probs(params), params.eta_td
-    return np.array([[probs[k] * math.comb(k, j) * eta ** j * (1.0 - eta) ** (k - j)
-                      if j <= k else 0.0 for j in range(MAX_EXCITATION + 1)]
-                     for k in range(MAX_EXCITATION + 1)])
-
 
 def _categorical(weights: np.ndarray, size, rng: np.random.Generator) -> np.ndarray:
     """Cell indices drawn with probability proportional to ``weights``, one uniform each.
@@ -162,14 +205,14 @@ def _bernoulli_positions(size: int, p: float, rng: np.random.Generator) -> np.nd
     return np.sort(rng.choice(size, count, replace=False, shuffle=False))
 
 
-def _sample_lit(params: LinkParams, n_trains: int, rng: np.random.Generator):
+def _sample_lit(law: _LinkLaw, n_trains: int, rng: np.random.Generator):
     """Lit slots of ``n_trains`` write trains: (slot, k, photons), slot ascending.
 
     Each slot is lit (j >= 1) independently with the slot law's mass there, and
     a lit slot's (k, j) follows the slot law given j >= 1.
     """
-    lit_law = _slot_law(params)[:, 1:].ravel()     # cells (k, j) = (c // 2, c % 2 + 1)
-    slot = _bernoulli_positions(n_trains * params.mode_count * 2, lit_law.sum(), rng)
+    lit_law = law.slot_law[:, 1:].ravel()     # cells (k, j) = (c // 2, c % 2 + 1)
+    slot = _bernoulli_positions(n_trains * law.params.mode_count * 2, lit_law.sum(), rng)
     cell = _categorical(lit_law, slot.size, rng)
     return slot, cell // 2, cell % 2 + 1
 
@@ -228,8 +271,7 @@ def _first_herald(window: np.ndarray, click1: np.ndarray, click2: np.ndarray,
 
 
 def _readout_counts(slot: np.ndarray, k: np.ndarray, herald: np.ndarray, at: np.ndarray,
-                    lit: np.ndarray, storage_time: float, params: LinkParams,
-                    rng: np.random.Generator):
+                    lit: np.ndarray, law: _LinkLaw, rng: np.random.Generator):
     """Anti-Stokes click counts (m at aS_R, n at aS_L) for heralded trains.
 
     ``slot`` and ``k`` are the chunk's lit slots. Per heralded train,
@@ -239,25 +281,22 @@ def _readout_counts(slot: np.ndarray, k: np.ndarray, herald: np.ndarray, at: np.
     given j = 0, so it is excited with probability q_pre, and the train's
     other excited unlit slots are one binomial count.
     The addressed mode's excitations each convert and get detected with
-    probability R0*exp(-t/tau0)*eta_D; every other excited (node, mode) slot
-    of the train leaks one background photon with probability
-    crosstalk_eps*eta_D, split uniformly between the two collected fields;
-    dark counts add one click.
+    probability p_ret = R0*exp(-t/tau0)*eta_D; every other excited (node, mode)
+    slot of the train leaks one background photon with probability
+    leak = crosstalk_eps*eta_D, split uniformly between the two collected
+    fields; dark counts add one click.
     """
-    n_modes = params.mode_count
-    p_ret = retrieval_prob(params, storage_time)
-    unlit_law = _slot_law(params)[:, 0]
+    params = law.params
     padded_slot, padded_k = np.append(slot, -1), np.append(k, 0)   # -1 and 0 past the end
     lit_l = padded_slot[at] == 2 * herald        # the herald window's L slot; its R slot is next
     lit_r = padded_slot[at + lit_l] == 2 * herald + 1
-    k_unlit = _categorical(unlit_law, (herald.size, 2), rng)
-    m = _binomial(np.where(lit_r, padded_k[at + lit_l], k_unlit[:, 1]), p_ret, rng)  # R into aS_R
-    n = _binomial(np.where(lit_l, padded_k[at], k_unlit[:, 0]), p_ret, rng)          # L into aS_L
+    k_unlit = _categorical(law.slot_law[:, 0], (herald.size, 2), rng)
+    m = _binomial(np.where(lit_r, padded_k[at + lit_l], k_unlit[:, 1]), law.p_ret, rng)  # aS_R
+    n = _binomial(np.where(lit_l, padded_k[at], k_unlit[:, 0]), law.p_ret, rng)          # aS_L
 
     lit_other = lit - lit_l - lit_r
-    q_pre = 1.0 - unlit_law[0] / unlit_law.sum()
-    other_excited = lit_other + _binomial(2 * n_modes - 2 - lit_other, q_pre, rng)
-    leaked = _binomial(other_excited, params.crosstalk_eps * params.detection_eff, rng)
+    other_excited = lit_other + _binomial(2 * params.mode_count - 2 - lit_other, law.q_pre, rng)
+    leaked = _binomial(other_excited, law.leak, rng)
     to_r = _binomial(leaked, 0.5, rng)
     m = m + to_r
     n = n + (leaked - to_r)
@@ -306,8 +345,7 @@ def run_link_trials(params: LinkParams, storage_time: float, trains: int,
     """
     if trains < 1:
         raise ParameterError(f"trains must be >= 1, got {trains}")
-    if storage_time < 0:
-        raise ParameterError(f"storage_time must be >= 0, got {storage_time}")
+    law = _link_law(params, storage_time)
     n_modes = params.mode_count
     chunk = max(1, _CHUNK_SLOTS // (2 * n_modes))
     heralded = detector_clicks = 0
@@ -315,14 +353,14 @@ def run_link_trials(params: LinkParams, storage_time: float, trains: int,
     window_counts = np.zeros(2 * n_modes, dtype=np.int64)
     for done in range(0, trains, chunk):
         n = min(chunk, trains - done)
-        slot, k, photons = _sample_lit(params, n, rng)
+        slot, k, photons = _sample_lit(law, n, rng)
         window, start, click1, click2 = _stokes_clicks(slot, photons, n, params, rng)
         row, detector = _first_herald(window, click1, click2, n_modes, rng)
         herald, at = window[row], start[row]
         # every lit window clicks, so a heralded train's lit slots run from its
         # herald window to the next heralded train's, and no other train has any
         lit = np.append(at[1:], slot.size) - at
-        m, n_clicks = _readout_counts(slot, k, herald, at, lit, storage_time, params, rng)
+        m, n_clicks = _readout_counts(slot, k, herald, at, lit, law, rng)
         heralded += row.size
         pmn_counts += np.bincount(2 * np.minimum(m, 1) + np.minimum(n_clicks, 1), minlength=4)
         window_counts += np.bincount(2 * (herald % n_modes) + detector, minlength=2 * n_modes)
@@ -340,44 +378,6 @@ def run_link_trials(params: LinkParams, storage_time: float, trains: int,
 # closed forms (same model, no sampling)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _HeraldComposition:
-    """Exact conditional structure of a heralded window."""
-
-    manifold: np.ndarray     # (3, 3) posterior of (k_L, k_R) at the heralded window
-    q_pre: float             # P(mode excited | its window produced no click)
-    q_post: float            # P(mode excited), unconditioned
-    window_probs: np.ndarray  # (N,) distribution of the heralded window index
-    herald_prob: float       # P(any window clicks) per train
-
-
-def _herald_composition(params: LinkParams) -> _HeraldComposition:
-    probs = occupation_probs(params)
-    dark_pass = (1.0 - params.dark_count_prob) ** 2
-    ks = np.arange(MAX_EXCITATION + 1)
-    # per-node probability that none of its photons survives to a detector
-    g = float(_slot_law(params)[:, 0].sum())
-    no_click = g * g * dark_pass
-
-    click = 1.0 - (1.0 - params.eta_td) ** (ks[:, None] + ks[None, :]) * dark_pass
-    manifold = probs[:, None] * probs[None, :] * click
-    weight = manifold.sum()
-    if weight == 0.0:
-        raise ParameterError(
-            "herald probability is zero (no excitation and no dark counts); "
-            "conditional readout statistics are undefined")
-    manifold /= weight
-
-    w = no_click ** np.arange(params.mode_count)
-    return _HeraldComposition(
-        manifold=manifold,
-        q_pre=1.0 - probs[0] / g,
-        q_post=1.0 - probs[0],
-        window_probs=w / w.sum(),
-        herald_prob=1.0 - no_click ** params.mode_count,
-    )
-
-
 def expected_window_detection(params: LinkParams) -> float:
     """Exact per-window sum of the two Stokes detectors' click probabilities.
 
@@ -385,47 +385,44 @@ def expected_window_detection(params: LinkParams) -> float:
     value: counting clicks per window is linear in N by construction.
     """
     probs = occupation_probs(params)
-    ks = np.arange(MAX_EXCITATION + 1)
     # a photon misses a given detector if it is lost or exits the other port
-    h = float((probs * (1.0 - params.eta_td / 2.0) ** ks).sum())
+    h = float((probs * (1.0 - params.eta_td / 2.0) ** _K).sum())
     p_one = 1.0 - (1.0 - params.dark_count_prob) * h * h
     return 2.0 * p_one
 
 
 def expected_herald_probability(params: LinkParams) -> float:
-    """Exact probability that a train produces a herald (>= 1 click window)."""
-    return _herald_composition(params).herald_prob
+    """Exact probability that a train produces a herald (>= 1 click window);
+    0 for a link that can never herald."""
+    return _link_law(params, 0.0).herald_prob
 
 
-def _background_factors(params: LinkParams, comp: _HeraldComposition, scale: float):
+def _background_factors(law: _LinkLaw, scale: float):
     """E over the heralded window of prod(1 - q_slot * scale) across other slots.
 
     ``scale`` is the per-excited-slot probability of a background click on one
     side (eps*eta_D/2) or on either side (eps*eta_D). Slots in windows before
     the herald are biased toward vacancy by the observed absence of clicks.
     """
-    i = np.arange(params.mode_count)
-    pre = (1.0 - comp.q_pre * scale) ** (2 * i)
-    post = (1.0 - comp.q_post * scale) ** (2 * (params.mode_count - 1 - i))
-    return float((comp.window_probs * pre * post).sum())
+    i = np.arange(law.params.mode_count)
+    pre = (1.0 - law.q_pre * scale) ** (2 * i)
+    post = (1.0 - law.q_post * scale) ** (2 * (i.size - 1 - i))
+    return float((law.window_probs * pre * post).sum())
 
 
 def expected_pmn(params: LinkParams, storage_time: float) -> PmnTable:
     """Closed-form PmnTable for the sampling model of `run_link_trials`."""
-    comp = _herald_composition(params)
-    p_ret = retrieval_prob(params, storage_time)
-    leak = params.crosstalk_eps * params.detection_eff
+    law = _link_law(params, storage_time)
+    p_ret, w = law.p_ret, law.manifold()
     dark_pass = 1.0 - params.dark_count_prob
 
-    a = np.arange(MAX_EXCITATION + 1)[:, None]
-    b = np.arange(MAX_EXCITATION + 1)[None, :]
-    w = comp.manifold
+    a, b = _K[:, None], _K[None, :]
     sig_m0 = float((w * (1.0 - p_ret) ** b).sum())       # no signal click at aS_R
     sig_n0 = float((w * (1.0 - p_ret) ** a).sum())
     sig_00 = float((w * (1.0 - p_ret) ** (a + b)).sum())
 
-    bg_one = _background_factors(params, comp, leak / 2.0)
-    bg_both = _background_factors(params, comp, leak)
+    bg_one = _background_factors(law, law.leak / 2.0)
+    bg_both = _background_factors(law, law.leak)
 
     pm0 = sig_m0 * bg_one * dark_pass
     pn0 = sig_n0 * bg_one * dark_pass
@@ -450,22 +447,18 @@ def fringe_visibility(params: LinkParams, storage_time: float) -> tuple[float, f
     counts contribute phase-independent background, so V_eff <= visibility_cap
     and it decays with storage time as the signal fades into that background.
     """
-    comp = _herald_composition(params)
-    p_ret = retrieval_prob(params, storage_time)
-    leak = params.crosstalk_eps * params.detection_eff
-
-    w = comp.manifold
+    law = _link_law(params, storage_time)
+    p_ret, w = law.p_ret, law.manifold()
     w_coherent = w[1, 0] + w[0, 1]
-    a = np.arange(MAX_EXCITATION + 1)[:, None]
-    b = np.arange(MAX_EXCITATION + 1)[None, :]
+    a, b = _K[:, None], _K[None, :]
     mean_excitations = float(((a + b) * w).sum())
     incoherent = mean_excitations - w_coherent
 
     i = np.arange(params.mode_count)
-    other_excited = float((comp.window_probs
-                           * (2 * i * comp.q_pre
-                              + 2 * (params.mode_count - 1 - i) * comp.q_post)).sum())
-    background = other_excited * leak / 2.0 + params.dark_count_prob
+    other_excited = float((law.window_probs
+                           * (2 * i * law.q_pre
+                              + 2 * (params.mode_count - 1 - i) * law.q_post)).sum())
+    background = other_excited * law.leak / 2.0 + params.dark_count_prob
 
     coherent = w_coherent * p_ret / 2.0
     amplitude = coherent + incoherent * p_ret / 2.0 + background

@@ -19,6 +19,7 @@ from dlczsim.config_io import (
     parse_config,
     parse_config_text,
     write_csv_atomic,
+    write_text_atomic,
 )
 from dlczsim.errors import ConfigError, ParameterError
 
@@ -205,6 +206,21 @@ class TestResultFormatting:
         assert lines[0] == "x,y"
         assert lines[1] == "1,0.5"
         assert lines[-1] == "# note: test"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=lambda u: f"umask_{u:03o}")
+    def test_result_file_gets_the_mode_open_gives(self, tmp_path, umask):
+        # mkstemp makes its file 0600 and os.replace keeps that mode; a result
+        # file must come out as a plain open() makes one in the same directory
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x")
+            write_text_atomic(tmp_path / "rate.json", "{}\n")
+        finally:
+            os.umask(previous)
+        assert (tmp_path / "rate.json").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+        assert (tmp_path / "rate.json").read_text() == "{}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["plain.txt", "rate.json"]
 
 
 class TestExperimentConfigValidation:

@@ -1,7 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
+from dlczsim import experiments
+from dlczsim.config_io import MAX_STORAGE_TIMES
+from dlczsim.errors import ParameterError
 from dlczsim.experiments import (
     fringe_counts,
     mode_count_scan,
@@ -57,3 +61,18 @@ class TestScans:
                        for n in (1, 6, 12)]
         assert abs(p6 - 6 * p1) < 3 * math.hypot(s6, 6 * s1)
         assert abs(p12 - 12 * p1) < 3 * math.hypot(s12, 12 * s1)
+
+    def test_storage_scan_past_the_cap_raises_before_any_draw(self, calibrated, monkeypatch):
+        # point 1000 of a storage scan would draw on stream (seed, 1000), the
+        # mode scan's first point's; a library caller is stopped before any
+        # point is drawn, as ExperimentConfig stops a config (exit 2)
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a scan point was drawn")
+
+        monkeypatch.setattr(experiments, "_point", no_draw)
+        with pytest.raises(ParameterError, match="MAX_STORAGE_TIMES = 1000"):
+            storage_time_scan(calibrated, [1e-6] * (MAX_STORAGE_TIMES + 1), trains=10,
+                              seed=7, phases=12, shots_per_phase=10)
+        with pytest.raises(AssertionError, match="a scan point was drawn"):
+            storage_time_scan(calibrated, [1e-6] * MAX_STORAGE_TIMES, trains=10,
+                              seed=7, phases=12, shots_per_phase=10)

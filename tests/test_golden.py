@@ -2,10 +2,12 @@
 
 Each case runs one command in-process through `cli.main` and hashes every
 result file it writes, and its stdout, with sha256. `tests/golden.json` holds
-the digests, keyed by numpy's major.minor version, since numpy may change its
-distribution algorithms between releases; on a version with no digests the
-test skips and names both versions. Manifests are left out: they hold time
-stamps and paths.
+the digests. Those of the cases that draw or fit are keyed by numpy's
+major.minor version, since numpy may change its distribution algorithms
+between releases; on a version with no digests those cases skip and name both
+versions. `rate` and `sweep` read only `config_io` and `rate`, which import no
+numpy, so their digests sit under the key "any" and are checked on every
+numpy. Manifests are left out: they hold time stamps and paths.
 
 A change that moves the draws or a result layout on purpose regenerates the
 digests with `python tools/golden.py`, which prints every file that moved.
@@ -41,10 +43,16 @@ CASES = {
     **{f"fit_{model}": ["fit", str(DATA / f"fit_{model}.csv"), "--model", model]
        for model in ("exp", "linear", "sinusoid")},
 }
+NUMPY_FREE = ("rate_json", "rate_csv", "sweep_l0")   # their bytes do not depend on numpy
 
 
 def numpy_version() -> str:
     return ".".join(np.__version__.split(".")[:2])
+
+
+def golden_key(name: str) -> str:
+    """The `tests/golden.json` key that holds case ``name``'s digests."""
+    return "any" if name in NUMPY_FREE else numpy_version()
 
 
 def run_case(name: str, out: Path) -> dict[str, str]:
@@ -64,12 +72,20 @@ def run_case(name: str, out: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", CASES)
 def test_result_files_and_stdout_match_their_digests(name, tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    version = numpy_version()
-    if version not in golden:
-        pytest.skip(f"digests are for numpy {', '.join(sorted(golden))}; "
-                    f"this is numpy {version}")
-    want = {key: digest for key, digest in golden[version].items()
-            if key.startswith(f"{name}/")}
+    key = golden_key(name)
+    if key not in golden:
+        pytest.skip(f"digests are for numpy {', '.join(sorted(golden.keys() - {'any'}))}; "
+                    f"this is numpy {key}")
+    want = {file: digest for file, digest in golden[key].items()
+            if file.startswith(f"{name}/")}
     got = run_case(name, tmp_path)
-    moved = sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
+    moved = sorted(file for file in want.keys() | got.keys() if want.get(file) != got.get(file))
     assert not moved, f"moved: {moved}"
+
+
+def test_numpy_free_cases_alone_sit_under_any():
+    # "any" is checked on every numpy, so it must hold exactly the cases whose
+    # bytes do not depend on numpy, and a version key exactly the others
+    for key, digests in json.loads(GOLDEN.read_text()).items():
+        cases = {file.split("/")[0] for file in digests}
+        assert cases == (set(NUMPY_FREE) if key == "any" else CASES.keys() - set(NUMPY_FREE)), key

@@ -14,10 +14,9 @@ from dlczsim.link_physics import (
     _binomial,
     _categorical,
     _first_herald,
-    _herald_composition,
+    _link_law,
     _readout_counts,
     _sample_lit,
-    _slot_law,
     _stokes_clicks,
     expected_herald_probability,
     expected_pmn,
@@ -25,7 +24,6 @@ from dlczsim.link_physics import (
     fringe_expectation,
     fringe_visibility,
     occupation_probs,
-    retrieval_prob,
     run_link_trials,
 )
 from dlczsim.metrics import concurrence
@@ -71,6 +69,49 @@ class TestLinkParams:
         assert probs[1] / probs[0] == pytest.approx(0.3, abs=1e-15)
 
 
+class TestLinkLaw:
+    def test_fields_state_their_definitions(self, calibrated):
+        # oracle: each field worked out by hand from the calibrated link at
+        # 150 us; a slot is unlit with P(k) (1 - eta_td)^k, and a window stays
+        # dark with both nodes unlit and no dark count on either detector
+        params = dataclasses.replace(calibrated, dark_count_prob=1e-3)
+        law = _link_law(params, 150e-6)
+        probs, eta, n = occupation_probs(params), params.eta_td, params.mode_count
+        unlit = np.array([p * (1.0 - eta) ** k for k, p in enumerate(probs)])
+        no_click = unlit.sum() ** 2 * (1.0 - 1e-3) ** 2
+        assert law.slot_law.sum() == pytest.approx(1.0, abs=1e-15)
+        assert law.slot_law[:, 0] == pytest.approx(unlit, rel=1e-12)
+        assert law.q_pre == pytest.approx(1.0 - unlit[0] / unlit.sum(), rel=1e-12)
+        assert law.q_post == pytest.approx(1.0 - probs[0], rel=1e-12)
+        assert law.p_ret == pytest.approx(params.retrieval_eff_zero * params.detection_eff
+                                          * math.exp(-150e-6 / params.memory_lifetime),
+                                          rel=1e-12)
+        assert law.leak == pytest.approx(params.crosstalk_eps * params.detection_eff, rel=1e-12)
+        assert law.herald_prob == pytest.approx(1.0 - no_click ** n, rel=1e-12)
+        assert law.window_probs == pytest.approx(
+            no_click ** np.arange(n) * (1.0 - no_click) / (1.0 - no_click ** n), rel=1e-9)
+        assert law.manifold().sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_link_that_can_never_herald_builds_and_reads_zero(self):
+        # chi = 0 and no dark counts: the record builds (so the sampler can
+        # tally zero heralds) and its herald probability is 0; only reading
+        # the herald manifold, as expected_pmn and the fringe do, raises
+        params = LinkParams(chi=0.0)
+        law = _link_law(params, 0.0)
+        assert law.herald_prob == 0.0 == expected_herald_probability(params)
+        for read in (law.manifold, lambda: expected_pmn(params, 0.0),
+                     lambda: fringe_visibility(params, 0.0)):
+            with pytest.raises(ParameterError, match="herald probability is zero"):
+                read()
+
+    def test_negative_storage_time_is_rejected_by_every_reader(self, calibrated):
+        for read in (lambda: run_link_trials(calibrated, -1e-6, 10, substream(0, 0)),
+                     lambda: expected_pmn(calibrated, -1e-6),
+                     lambda: fringe_expectation(0.0, -1e-6, calibrated)):
+            with pytest.raises(ParameterError, match="storage_time must be >= 0"):
+                read()
+
+
 L, R = 0, 1   # node index of a slot
 
 
@@ -105,13 +146,13 @@ def _readout(slot, k, train, mode, storage_time, params, rng):
     herald = train * n_modes + mode
     lo, at, hi = np.searchsorted(slot, [2 * n_modes * train, 2 * herald,
                                         2 * n_modes * (train + 1)])
-    return _readout_counts(slot, k, herald, at, hi - lo, storage_time, params, rng)
+    return _readout_counts(slot, k, herald, at, hi - lo, _link_law(params, storage_time), rng)
 
 
 class TestSampleLitSlots:
     def test_zero_chi_lights_no_slot(self):
         params = LinkParams(chi=0.0)
-        slot, k, photons = _sample_lit(params, 1000, substream(1, 0))
+        slot, k, photons = _sample_lit(_link_law(params, 0.0), 1000, substream(1, 0))
         assert slot.size == 0 and k.size == 0 and photons.size == 0
 
     def test_lit_fraction_matches_q_lit(self, calibrated):
@@ -120,7 +161,7 @@ class TestSampleLitSlots:
         # lit slots are distinct, ascending and inside the slot range
         probs = occupation_probs(calibrated)
         q_lit = 1.0 - sum(p * (1.0 - calibrated.eta_td) ** k for k, p in enumerate(probs))
-        slot, _, _ = _sample_lit(calibrated, 1_000_000, substream(42, 0))
+        slot, _, _ = _sample_lit(_link_law(calibrated, 0.0), 1_000_000, substream(42, 0))
         n_slots = 1_000_000 * 2 * calibrated.mode_count
         assert abs(slot.size / n_slots - q_lit) < 3 * binom_sigma(q_lit, n_slots)
         assert (np.diff(slot) > 0).all()
@@ -134,7 +175,7 @@ class TestSampleLitSlots:
         _, p1, p2 = occupation_probs(params)
         eta = params.eta_td
         cells = {(1, 1): p1 * eta, (2, 1): p2 * 2 * eta * (1 - eta), (2, 2): p2 * eta ** 2}
-        slot, k, photons = _sample_lit(params, 200_000, substream(7, 0))
+        slot, k, photons = _sample_lit(_link_law(params, 0.0), 200_000, substream(7, 0))
         observed = [int(((k == a) & (photons == b)).sum()) for a, b in cells]
         assert sum(observed) == slot.size > 0
         chi2, dof = _chi2(observed, list(cells.values()))
@@ -142,8 +183,8 @@ class TestSampleLitSlots:
 
     def test_deterministic_for_fixed_seed(self):
         params = LinkParams(chi=0.05, eta_td=0.5)
-        a = _sample_lit(params, 100, substream(99, 0))
-        b = _sample_lit(params, 100, substream(99, 0))
+        a = _sample_lit(_link_law(params, 0.0), 100, substream(99, 0))
+        b = _sample_lit(_link_law(params, 0.0), 100, substream(99, 0))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -273,10 +314,12 @@ class TestReadout:
 def reference_readout(slot, k, train, mode, storage_time, params, rng):
     """The readout as it drew before it skipped zero-count binomials and took
     the herald positions from the Stokes pass: three searches of ``slot``, a
-    ``searchsorted`` categorical and every binomial over the full arrays."""
+    ``searchsorted`` categorical and every binomial over the full arrays. It
+    reads only p_ret and the slot law from the record, and works out q_pre and
+    the leak itself."""
     n_modes = params.mode_count
-    p_ret = retrieval_prob(params, storage_time)
-    unlit_law = _slot_law(params)[:, 0]
+    law = _link_law(params, storage_time)
+    p_ret, unlit_law = law.p_ret, law.slot_law[:, 0]
     herald = (train * n_modes + mode) * 2
     lo, at, hi = np.searchsorted(slot, [train * 2 * n_modes, herald, (train + 1) * 2 * n_modes])
     padded_slot, padded_k = np.append(slot, -1), np.append(k, 0)
@@ -328,7 +371,7 @@ class TestReadoutDrawIdentity:
             rng, ref_rng = substream(64, 0), substream(64, 0)
             tally = run_link_trials(params, storage_time, trains, rng)
 
-            slot, k, photons = _sample_lit(params, trains, ref_rng)
+            slot, k, photons = _sample_lit(_link_law(params, storage_time), trains, ref_rng)
             window, _, click1, click2 = _stokes_clicks(slot, photons, trains, params, ref_rng)
             row, detector = _first_herald(window, click1, click2, n_modes, ref_rng)
             herald = window[row]
@@ -349,7 +392,7 @@ class TestReadoutDrawIdentity:
         # it), and at a random window of every seventh train
         params = _identity_params(calibrated, case)
         n_modes = params.mode_count
-        slot, k, _ = _sample_lit(params, 20_000, substream(65, 0))
+        slot, k, _ = _sample_lit(_link_law(params, 0.0), 20_000, substream(65, 0))
         lit_train, first = np.unique(slot // (2 * n_modes), return_index=True)
         other = np.concatenate([lit_train, np.arange(0, 20_000, 7)])
         train = np.concatenate([lit_train, other])
@@ -433,7 +476,7 @@ class TestClosedFormAgainstSampling:
         trains = 2_400_000 // mode_count
         p_herald = expected_herald_probability(params)
         p_window = expected_window_detection(params) / 2.0   # per detector and window
-        window_probs = _herald_composition(params).window_probs
+        window_probs = _link_law(params, 1e-6).window_probs
         pmn_probs = expected_pmn(params, 1e-6).as_tuple()
         pooled = {"herald": [0.0, 0], "clicks": [0.0, 0], "window": [0.0, 0], "pmn": [0.0, 0]}
 

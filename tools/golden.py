@@ -1,10 +1,11 @@
 """Regenerate the digests of `tests/test_golden.py` for this numpy version.
 
-Runs every case of the golden test, writes its digests into
-`tests/golden.json` under numpy's major.minor version (the digests of other
-versions are kept), and prints each file whose digest moved, appeared or
-went away. A change that keeps every draw and layout leaves the file as it
-was.
+Runs every case of the golden test and writes its digests into
+`tests/golden.json` under the case's key: numpy's major.minor version for a
+case that draws or fits (the digests of other versions are kept), "any" for
+the numpy-free `rate` and `sweep` cases. Prints each file whose digest moved,
+appeared or went away. A change that keeps every draw and layout leaves the
+file as it was.
 
     python tools/golden.py
 """
@@ -19,23 +20,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from test_golden import CASES, GOLDEN, numpy_version, run_case  # noqa: E402
+from test_golden import CASES, GOLDEN, golden_key, run_case  # noqa: E402
 
 
 def main() -> int:
     golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    version = numpy_version()
-    old = golden.get(version, {})
-    new: dict[str, str] = {}
+    new: dict[str, dict[str, str]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
-            new.update(run_case(name, Path(tmp) / name))
-    for key in sorted(old.keys() | new.keys()):
-        if old.get(key) != new.get(key):
-            print(f"moved: {key}")
-    golden[version] = new
+            new.setdefault(golden_key(name), {}).update(run_case(name, Path(tmp) / name))
+    for key, digests in sorted(new.items()):
+        old = golden.get(key, {})
+        for file in sorted(old.keys() | digests.keys()):
+            if old.get(file) != digests.get(file):
+                print(f"moved: {file}")
+        golden[key] = digests
+        print(f"{len(digests)} digests under {key!r} in {GOLDEN.relative_to(ROOT)}")
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
-    print(f"{len(new)} digests for numpy {version} in {GOLDEN.relative_to(ROOT)}")
     return 0
 
 
