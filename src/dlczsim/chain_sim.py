@@ -33,13 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config_io import SIM_FIELDS, ChainParams
-from .errors import ParameterError, StalledChainError, check_fields
+from .config_io import ChainParams, RunConfig
+from .errors import ParameterError, StalledChainError
 from .rate import elementary_p0, multiplexed_success, swap_chain
 from .streams import substream
 
 __all__ = [
-    "SimConfig",
     "ElementaryLinkTrace",
     "ChainTrace",
     "simulate_elementary_link",
@@ -62,33 +61,6 @@ _NEVER = -2**62
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """One Monte Carlo run: chain constants, trial budget, seed, abort guard."""
-
-    chain: ChainParams
-    trials: int = 1000
-    seed: int = 0
-    max_sim_time: float = 3600.0
-
-    def __post_init__(self):
-        check_fields(self, SIM_FIELDS)
-        # the guard counts ticks of T_cc: more than one, and few enough that a
-        # round's tick sums (at most MAX_ROUND_LINKS terms) stay exact in int64
-        if not 1.0 < self.max_sim_time / self.chain.t_cc < 2**62 / MAX_ROUND_LINKS:
-            raise ParameterError(f"max_sim_time ({self.max_sim_time}) must exceed T_cc "
-                                 f"({self.chain.t_cc}) by a factor below "
-                                 f"{2**62 // MAX_ROUND_LINKS}")
-        # `rate` and `sweep` take any depth
-        if self.chain.n_levels > MAX_ROUND_LINKS.bit_length() - 1:
-            raise ParameterError(f"n_levels ({self.chain.n_levels}) must be <= "
-                                 f"{MAX_ROUND_LINKS.bit_length() - 1} to simulate: one trial "
-                                 f"draws 2**n_levels of the MAX_ROUND_LINKS = "
-                                 f"{MAX_ROUND_LINKS} elementary links a round may draw")
-        if self.trials > MAX_SIM_TRIALS:
-            raise ParameterError(f"trials ({self.trials}) must be <= {MAX_SIM_TRIALS} to simulate")
-
-
-@dataclass(frozen=True)
 class ElementaryLinkTrace:
     """Empirical generation statistics of a single multiplexed link."""
 
@@ -107,8 +79,8 @@ def simulate_elementary_link(chain: ChainParams, trials: int, seed: int) -> Elem
     between consecutive successful intervals, which for independent intervals
     are geometric with the multiplexed success probability.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MAX_SIM_TRIALS:
+        raise ParameterError(f"trials must be in [1, {MAX_SIM_TRIALS}] to simulate, got {trials}")
     p0 = elementary_p0(chain)
     p_multi = multiplexed_success(p0, chain.mode_count)
     if p_multi == 0.0:
@@ -130,7 +102,7 @@ def simulate_elementary_link(chain: ChainParams, trials: int, seed: int) -> Elem
 class ChainTrace:
     """Outcome of `simulate_chain`."""
 
-    config: SimConfig
+    config: RunConfig
     delivery_times: np.ndarray          # seconds, delivered trials only
     timeouts: int
     swap_attempts: np.ndarray           # per level 1..n
@@ -244,16 +216,33 @@ def _round(chain: ChainParams, p_gen: float, max_ticks: int, per_trial: float,
     return ticks, attempts, successes, readouts
 
 
-def simulate_chain(config: SimConfig) -> ChainTrace:
-    """Monte Carlo the full chain for config.trials deliveries.
+def simulate_chain(config: RunConfig) -> ChainTrace:
+    """Monte Carlo ``config.chain`` for config.trials deliveries.
 
-    The trace is bitwise identical across reruns, and a run of k trials
-    delivers the first k delivery times of any longer run.
+    The limits of the simulation itself, which `rate` and `sweep` do not
+    share, are checked here before any draw. The trace is bitwise identical
+    across reruns, and a run of k trials delivers the first k delivery times
+    of any longer run.
     """
     chain = config.chain
+    if chain is None:
+        raise ParameterError("simulate_chain needs a config with a [chain] section")
+    # the guard counts ticks of T_cc: more than one, and few enough that a
+    # round's tick sums (at most MAX_ROUND_LINKS terms) stay exact in int64
+    horizon = config.max_sim_time / chain.t_cc
+    if not 1.0 < horizon < 2**62 / MAX_ROUND_LINKS:
+        raise ParameterError(f"max_sim_time ({config.max_sim_time}) must exceed T_cc "
+                             f"({chain.t_cc}) by a factor below {2**62 // MAX_ROUND_LINKS}")
+    depth = MAX_ROUND_LINKS.bit_length() - 1
+    if chain.n_levels > depth:
+        raise ParameterError(f"n_levels ({chain.n_levels}) must be <= {depth} to simulate: "
+                             f"one trial draws 2**n_levels of the MAX_ROUND_LINKS = "
+                             f"{MAX_ROUND_LINKS} elementary links a round may draw")
+    if config.trials > MAX_SIM_TRIALS:
+        raise ParameterError(f"trials ({config.trials}) must be <= {MAX_SIM_TRIALS} to simulate")
     # a chain the recursion calls stalled raises here, before any trial
     report = swap_chain(chain)
-    max_ticks = int(config.max_sim_time / chain.t_cc)
+    max_ticks = int(horizon)
     # links per trial: 2**n per top-level attempt times the recursion's swap
     # and readout restarts, but no more than 2**n leaves drawing links back to
     # back until the horizon

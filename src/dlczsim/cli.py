@@ -28,7 +28,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .chain_sim import SimConfig, simulate_chain, simulate_elementary_link
+from .chain_sim import simulate_chain, simulate_elementary_link
 from .config_io import (
     CHAIN_FIELDS,
     canonical_json,
@@ -250,11 +250,9 @@ def cmd_rate(args) -> int:
 def cmd_simulate(args) -> int:
     run = _Run(args, "simulate")
     config = _load_config(args, "chain")
-    sim = SimConfig(chain=config.chain, trials=config.trials, seed=config.seed,
-                    max_sim_time=config.max_sim_time)
 
     if args.elementary:
-        trace = simulate_elementary_link(sim.chain, sim.trials, sim.seed)
+        trace = simulate_elementary_link(config.chain, config.trials, config.seed)
         print(f"intervals {trace.intervals}  successes {trace.successes}")
         print(f"empirical_success {format_float(trace.empirical_success)}  "
               f"analytic {format_float(trace.analytic_success)}")
@@ -266,16 +264,16 @@ def cmd_simulate(args) -> int:
             "analytic_success": trace.analytic_success,
             "waiting_times_tcc": trace.waiting_times.tolist(),
         }))
-        return run.finish(_config_as_dict(config), sim.seed)
+        return run.finish(_config_as_dict(config), config.seed)
 
-    trace = simulate_chain(sim)
-    print(f"delivered {trace.delivered}/{sim.trials}  timeouts {trace.timeouts}")
+    trace = simulate_chain(config)
+    print(f"delivered {trace.delivered}/{config.trials}  timeouts {trace.timeouts}")
     print(f"empirical_rate_hz {format_float(trace.empirical_rate)} "
           f"+/- {format_float(trace.rate_stderr)}")
     print(f"analytic_rate_hz  {format_float(trace.analytic_rate)}")
     run.emit("trace.json", write_text_atomic, canonical_json({
-        "trials": sim.trials,
-        "seed": sim.seed,
+        "trials": config.trials,
+        "seed": config.seed,
         "delivered": trace.delivered,
         "timeouts": trace.timeouts,
         "swap_attempts": trace.swap_attempts.tolist(),
@@ -292,11 +290,11 @@ def cmd_simulate(args) -> int:
     run.emit("latency.csv", write_csv_atomic, ("bin_start_s", "bin_end_s", "count"), [
         (float(lo), float(hi), int(count)) for lo, hi, count in
         zip(trace.histogram_edges[:-1], trace.histogram_edges[1:], trace.histogram_counts)])
-    if trace.timeouts > 0.5 * sim.trials:
-        print(f"error: {trace.timeouts} of {sim.trials} trials timed out at "
-              f"max_sim_time={sim.max_sim_time}s", file=sys.stderr)
-        return run.finish(_config_as_dict(config), sim.seed, EXIT_DEGENERATE)
-    return run.finish(_config_as_dict(config), sim.seed)
+    if trace.timeouts > 0.5 * config.trials:
+        print(f"error: {trace.timeouts} of {config.trials} trials timed out at "
+              f"max_sim_time={config.max_sim_time}s", file=sys.stderr)
+        return run.finish(_config_as_dict(config), config.seed, EXIT_DEGENERATE)
+    return run.finish(_config_as_dict(config), config.seed)
 
 
 def _emit_scan(run: _Run, name: str, rows: list[dict]) -> None:

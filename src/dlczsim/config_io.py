@@ -91,7 +91,7 @@ class LinkParams:
 CHAIN_FIELDS = (
     ("l0", float, "> 0"),
     ("l_att", float, "> 0"),
-    ("n_levels", int, ">= 0"),
+    ("n_levels", int, "in [0, 10000]"),
     ("fiber_speed", float, "> 0"),
     ("eta_fc", float, "in [0, 1]"),
     ("eta_td", float, "in [0, 1]"),
@@ -146,8 +146,8 @@ class ChainParams:
         return self.l0 / self.fiber_speed
 
 
-# check_fields spec of the run budget, also its [sim] keys; chain_sim.SimConfig
-# checks the same fields
+# check_fields spec of the run budget, also its [sim] keys; only RunConfig
+# checks them, and chain_sim.simulate_chain adds the simulation's own limits
 SIM_FIELDS = (
     ("trials", int, ">= 1"),
     ("seed", int, ">= 0"),
@@ -199,7 +199,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI run can need; sections absent from the file are None."""
+    """Everything a CLI run can need; sections absent from the file are None.
+
+    It is also the input of chain_sim.simulate_chain, which checks the limits
+    of the simulation itself (depth, time guard, trial count) before any draw.
+    """
 
     link: LinkParams | None = None
     chain: ChainParams | None = None

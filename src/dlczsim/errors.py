@@ -47,6 +47,10 @@ RANGES = {
     ">= 4": (math.nextafter(4.0, 0.0), math.inf),
     # `sweep --steps`: the grid is built in memory before any output
     "in [2, 100000]": (math.nextafter(2.0, 0.0), math.nextafter(100000.0, math.inf)),
+    # chain depth: `rate` holds and prints one row per level, so its time and
+    # memory grow with the depth; `sweep --fixed-total-km` derives at most
+    # round(1024 + 1074) = 2098 levels from finite floats
+    "in [0, 10000]": (_BELOW_ZERO, math.nextafter(10000.0, math.inf)),
     # link mode counts: the kernel and the closed forms hold arrays of N entries
     "in [1, 1000000]": (math.nextafter(1.0, 0.0), math.nextafter(1e6, math.inf)),
     # fringe shots: a phase's Poisson mean, at most 2 (N + 3) per shot, stays

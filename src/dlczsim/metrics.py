@@ -58,11 +58,14 @@ def bootstrap_concurrence_stderr(pmn_counts, visibility: float, rng: np.random.G
     repopulate a zero cell, which collapses the error bar exactly where the
     p11 cell is sparsest and matters most. When a visibility standard error is
     supplied, V is jittered normally (clipped to [0, 1]) in each replicate so
-    both uncertainty sources propagate.
+    both uncertainty sources propagate. An infinite visibility error (a flat
+    fringe) gives an infinite concurrence error, with no draw.
     """
     counts = np.asarray(pmn_counts, dtype=np.int64).reshape(4)
     if counts.sum() <= 0:
         raise ParameterError("bootstrap needs at least one heralded trial")
+    if visibility_stderr == np.inf:
+        return np.inf
     resampled = rng.dirichlet(counts + 0.5, size=BOOTSTRAP_REPLICATES)
     vs = np.full(BOOTSTRAP_REPLICATES, visibility)
     if visibility_stderr > 0.0:

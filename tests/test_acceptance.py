@@ -17,9 +17,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dlczsim.chain_sim import SimConfig, simulate_chain, simulate_elementary_link
+from dlczsim.chain_sim import simulate_chain, simulate_elementary_link
 from dlczsim.cli import main as cli_main
-from dlczsim.config_io import ChainParams
+from dlczsim.config_io import ChainParams, RunConfig
 from dlczsim.experiments import mode_count_scan, storage_time_scan
 from dlczsim.fitters import Samples, fit_exponential, fit_linear_origin
 from dlczsim.link_physics import expected_window_detection, run_link_trials
@@ -209,7 +209,7 @@ def test_criterion_6b_monte_carlo_agrees_with_recursion():
     is asserted as stated and the measured gap is reported.
     """
     with Stopwatch() as clock:
-        trace = simulate_chain(SimConfig(chain=PROJECTION, trials=1000, seed=SEED + 6))
+        trace = simulate_chain(RunConfig(chain=PROJECTION, trials=1000, seed=SEED + 6))
     gap = abs(trace.empirical_rate - trace.analytic_rate)
     ok = gap <= 0.5 * trace.analytic_rate and clock.elapsed < 120.0
     check("criterion 6b (Monte Carlo vs recursion)", ok,

@@ -6,12 +6,20 @@ import pytest
 import scipy.stats
 
 from dlczsim import chain_sim
-from dlczsim.chain_sim import SimConfig, _round, simulate_chain, simulate_elementary_link
-from dlczsim.config_io import ChainParams
+from dlczsim.chain_sim import _round, simulate_chain, simulate_elementary_link
+from dlczsim.config_io import ChainParams, RunConfig
 from dlczsim.errors import ParameterError, StalledChainError
 from dlczsim.rate import elementary_p0, multiplexed_success
 
 PROJECTION = ChainParams()  # defaults are the long-distance projection set
+
+
+@pytest.fixture
+def no_round(monkeypatch):
+    """simulate_chain raises AssertionError where it would run its first round."""
+    def first_round(*args):
+        raise AssertionError("a round ran")
+    monkeypatch.setattr(chain_sim, "_round", first_round)
 
 
 def lossless_chain(**overrides) -> ChainParams:
@@ -78,7 +86,7 @@ class TestChain:
     def test_deterministic_cascade_delivers_immediately(self):
         # all probabilities 1: every link appears in the first interval and the
         # swap cascade plus readout completes within it
-        config = SimConfig(chain=lossless_chain(), trials=50, seed=1)
+        config = RunConfig(chain=lossless_chain(), trials=50, seed=1)
         trace = simulate_chain(config)
         assert trace.delivered == 50
         assert np.allclose(trace.delivery_times, config.chain.t_cc)
@@ -87,7 +95,7 @@ class TestChain:
     def test_swap_success_fraction_matches_r0_eta(self):
         # deterministic generation, no decay: each swap succeeds w.p. r0*eta_td
         chain = lossless_chain(r0=0.8, eta_td=1.0)
-        trace = simulate_chain(SimConfig(chain=chain, trials=400, seed=2))
+        trace = simulate_chain(RunConfig(chain=chain, trials=400, seed=2))
         for level in range(4):
             attempts = trace.swap_attempts[level]
             frac = trace.swap_successes[level] / attempts
@@ -98,7 +106,7 @@ class TestChain:
         # n = 0 has no max-of-two waiting, so the recursion is unbiased:
         # mean delivery = T_cc / (P0^(N) * P_pr)
         chain = lossless_chain(n_levels=0, chi=0.2, r0=0.7, tau0=1e15)
-        config = SimConfig(chain=chain, trials=4000, seed=3)
+        config = RunConfig(chain=chain, trials=4000, seed=3)
         trace = simulate_chain(config)
         assert trace.delivered == 4000
         analytic = trace.analytic_rate
@@ -110,19 +118,19 @@ class TestChain:
         # succeeds, swaps succeed 99.5% of the time; the max-of-two-children
         # penalty vanishes and the Monte Carlo matches the recursion within 20%
         chain = lossless_chain(r0=0.995, n_levels=4)
-        trace = simulate_chain(SimConfig(chain=chain, trials=1500, seed=4))
+        trace = simulate_chain(RunConfig(chain=chain, trials=1500, seed=4))
         assert abs(trace.empirical_rate - trace.analytic_rate) < 0.2 * trace.analytic_rate
 
     def test_projection_rate_sits_below_mean_field(self):
         # with stochastic generation and 0.72 swaps the discard-on-failure
         # protocol pays the max-of-two-children cost at every level, so the
         # empirical rate lands well under the recursion's estimate
-        trace = simulate_chain(SimConfig(chain=PROJECTION, trials=150, seed=5))
+        trace = simulate_chain(RunConfig(chain=PROJECTION, trials=150, seed=5))
         assert trace.delivered == 150
         assert trace.empirical_rate < trace.analytic_rate
 
     def test_conservation_and_accounting(self):
-        trace = simulate_chain(SimConfig(chain=PROJECTION, trials=80, seed=6))
+        trace = simulate_chain(RunConfig(chain=PROJECTION, trials=80, seed=6))
         assert (trace.swap_successes <= trace.swap_attempts).all()
         assert trace.delivered + trace.timeouts == 80
         assert trace.readout_successes == trace.delivered
@@ -132,13 +140,13 @@ class TestChain:
 
     def test_timeouts_are_recorded_and_excluded(self):
         chain = dataclasses.replace(PROJECTION, chi=1e-5)
-        config = SimConfig(chain=chain, trials=20, seed=7, max_sim_time=0.1)
+        config = RunConfig(chain=chain, trials=20, seed=7, max_sim_time=0.1)
         trace = simulate_chain(config)
         assert trace.timeouts > 0
         assert trace.delivered + trace.timeouts == 20
 
     def test_bitwise_determinism_and_worker_independence(self):
-        config = SimConfig(chain=PROJECTION, trials=40, seed=8)
+        config = RunConfig(chain=PROJECTION, trials=40, seed=8)
         a = simulate_chain(config)
         b = simulate_chain(config)
         assert np.array_equal(a.delivery_times, b.delivery_times)
@@ -152,7 +160,7 @@ class TestChain:
 
     def test_stalled_chain_raises(self):
         with pytest.raises(StalledChainError):
-            simulate_chain(SimConfig(chain=dataclasses.replace(PROJECTION, chi=0.0),
+            simulate_chain(RunConfig(chain=dataclasses.replace(PROJECTION, chi=0.0),
                                      trials=10, seed=9))
 
     def test_chain_the_recursion_calls_stalled_runs_no_trial(self, monkeypatch):
@@ -163,14 +171,14 @@ class TestChain:
         monkeypatch.setattr(chain_sim, "_round", no_trial)
         chain = dataclasses.replace(PROJECTION, n_levels=10, swap_intrinsic_factor=0.05)
         with pytest.raises(StalledChainError) as exc:
-            simulate_chain(SimConfig(chain=chain, trials=1000, seed=9))
+            simulate_chain(RunConfig(chain=chain, trials=1000, seed=9))
         assert exc.value.level == 5
 
     def test_rounds_keep_the_prefix_property(self, monkeypatch):
         # a 4096-link budget stops starting trials after ~27 projection trials
         # a round, so these runs span several rounds and end mid-round
         monkeypatch.setattr(chain_sim, "MAX_ROUND_LINKS", 4096)
-        config = SimConfig(chain=PROJECTION, trials=120, seed=8)
+        config = RunConfig(chain=PROJECTION, trials=120, seed=8)
         a = simulate_chain(config)
         prefix = simulate_chain(dataclasses.replace(config, trials=50))
         assert a.delivered == 120
@@ -183,28 +191,37 @@ class TestChain:
         # links the round holds only if all 63 swaps succeed at once
         monkeypatch.setattr(chain_sim, "MAX_ROUND_LINKS", 64)
         with pytest.raises(ParameterError, match="MAX_ROUND_LINKS = 64"):
-            simulate_chain(SimConfig(chain=lossless_chain(n_levels=6, swap_intrinsic_factor=0.5),
+            simulate_chain(RunConfig(chain=lossless_chain(n_levels=6, swap_intrinsic_factor=0.5),
                                      trials=1, seed=0))
         with pytest.raises(ParameterError, match="n_levels"):
-            SimConfig(chain=lossless_chain(n_levels=7), trials=1)
+            simulate_chain(RunConfig(chain=lossless_chain(n_levels=7), trials=1))
         monkeypatch.setattr(chain_sim, "MAX_ROUND_LINKS", 128)
-        assert simulate_chain(SimConfig(chain=lossless_chain(n_levels=7), trials=3)).delivered == 3
+        assert simulate_chain(RunConfig(chain=lossless_chain(n_levels=7), trials=3)).delivered == 3
 
-    def test_config_validation(self):
+    def test_config_validation(self, no_round):
         with pytest.raises(ParameterError):
-            SimConfig(chain=PROJECTION, trials=0, seed=0)
-        with pytest.raises(ParameterError):
-            SimConfig(chain=PROJECTION, trials=10, seed=0, max_sim_time=1e-9)
+            RunConfig(chain=PROJECTION, trials=0, seed=0)
         with pytest.raises(ParameterError, match="seed"):
-            SimConfig(chain=PROJECTION, trials=10, seed=-1)
-        for guard in (math.inf, math.nan, 1e308):
+            RunConfig(chain=PROJECTION, trials=10, seed=-1)
+        for guard in (math.inf, math.nan):
             with pytest.raises(ParameterError, match="max_sim_time"):
-                SimConfig(chain=PROJECTION, trials=10, seed=0, max_sim_time=guard)
+                RunConfig(chain=PROJECTION, trials=10, seed=0, max_sim_time=guard)
+        # the guard must span more than one T_cc and fewer than 2**42 of them,
+        # which only the simulation asks: `rate` reads no guard
+        for guard in (1e-9, 1e308):
+            with pytest.raises(ParameterError, match="max_sim_time"):
+                simulate_chain(RunConfig(chain=PROJECTION, trials=10, seed=0,
+                                         max_sim_time=guard))
+        with pytest.raises(ParameterError, match="trials"):
+            simulate_chain(RunConfig(chain=PROJECTION, trials=chain_sim.MAX_SIM_TRIALS + 1))
+        with pytest.raises(ParameterError, match="chain"):
+            simulate_chain(RunConfig(trials=10))
 
-    def test_simulated_depth_is_bounded(self):
-        SimConfig(chain=lossless_chain(n_levels=20), trials=1)
+    def test_simulated_depth_is_bounded(self, no_round):
+        with pytest.raises(AssertionError, match="a round ran"):
+            simulate_chain(RunConfig(chain=lossless_chain(n_levels=20), trials=1))
         with pytest.raises(ParameterError, match="n_levels"):
-            SimConfig(chain=lossless_chain(n_levels=21), trials=1)
+            simulate_chain(RunConfig(chain=lossless_chain(n_levels=21), trials=1))
 
 
 def mean_max_of_two_geometric(p: float) -> float:
@@ -231,7 +248,7 @@ class TestExactChainCorners:
             chain = lossless_chain(n_levels=1, chi=0.3, swap_intrinsic_factor=q)
             p = multiplexed_success(elementary_p0(chain), chain.mode_count)
             assert p == pytest.approx(0.3)
-            trace = simulate_chain(SimConfig(chain=chain, trials=10_000, seed=21))
+            trace = simulate_chain(RunConfig(chain=chain, trials=10_000, seed=21))
             assert trace.delivered == 10_000
             expected = mean_max_of_two_geometric(p) / q
             assert expected == pytest.approx(mean, abs=1e-3)
@@ -241,7 +258,7 @@ class TestExactChainCorners:
         # links exist after one tick, so a level-1 segment is Geometric(q) in
         # ticks; level 2 waits for the slower one: mean E[max] / q = 3.571
         chain = lossless_chain(n_levels=2, chi=1.0, swap_intrinsic_factor=0.6)
-        trace = simulate_chain(SimConfig(chain=chain, trials=10_000, seed=22))
+        trace = simulate_chain(RunConfig(chain=chain, trials=10_000, seed=22))
         assert trace.delivered == 10_000
         expected = mean_max_of_two_geometric(0.6) / 0.6
         assert expected == pytest.approx(3.571, abs=1e-3)
@@ -256,7 +273,7 @@ class TestExactChainCorners:
         # ends them, and only the one round each that crosses it goes uncounted.
         chain = lossless_chain(n_levels=1, chi=0.3)
         chain = dataclasses.replace(chain, tau0=chain.t_cc / 0.05)
-        trace = simulate_chain(SimConfig(chain=chain, trials=4000, seed=24,
+        trace = simulate_chain(RunConfig(chain=chain, trials=4000, seed=24,
                                          max_sim_time=500.5 * chain.t_cc))
         p, q, decay = 0.3, 0.7, math.exp(-0.05)
         expected = p / (2 - p) * (1 + q * decay) / (1 - q * decay)
@@ -271,7 +288,7 @@ class TestExactChainCorners:
         # out after tick 50 w.p. prod_{j<=50} (1 - e^(-d j))
         chain = lossless_chain(n_levels=0, chi=1.0)
         chain = dataclasses.replace(chain, tau0=chain.t_cc / 0.3)
-        config = SimConfig(chain=chain, trials=10_000, seed=25,
+        config = RunConfig(chain=chain, trials=10_000, seed=25,
                            max_sim_time=50.5 * chain.t_cc)
         trace = simulate_chain(config)
         ks = np.arange(1, 51)
@@ -348,7 +365,7 @@ class TestAgainstReferenceRecursion:
 
     def compare(self, chain: ChainParams, max_ticks: int):
         max_sim_time = (max_ticks + 0.5) * chain.t_cc
-        batches = [simulate_chain(SimConfig(chain=chain, trials=self.TRIALS // self.BATCHES,
+        batches = [simulate_chain(RunConfig(chain=chain, trials=self.TRIALS // self.BATCHES,
                                             seed=40 + b, max_sim_time=max_sim_time))
                    for b in range(self.BATCHES)]
         rng = np.random.default_rng(41)

@@ -176,24 +176,40 @@ class TestSimulate:
     def test_too_deep_chain_exits_three_before_any_trial(
             self, tmp_path, monkeypatch, capsys, n_levels):
         config = write_chain_config(tmp_path, n_levels=n_levels)
-        started = []
-        monkeypatch.setattr(cli, "simulate_chain", lambda *a, **k: started.append(a))
+        drawn = []
+        monkeypatch.setattr(chain_sim, "substream", lambda *a: drawn.append(a))
         assert run(["simulate", "--config", config]) == 3
-        assert started == []
+        assert drawn == []
         assert "n_levels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", [[], ["--elementary"]])
     def test_too_many_trials_exits_three_before_any_trial(
             self, tmp_path, monkeypatch, capsys, mode):
         config = write_chain_config(tmp_path)
-        started = []
-        monkeypatch.setattr(cli, "simulate_chain", lambda *a, **k: started.append(a))
-        monkeypatch.setattr(cli, "simulate_elementary_link",
-                            lambda *a, **k: started.append(a))
+        drawn = []
+        monkeypatch.setattr(chain_sim, "substream", lambda *a: drawn.append(a))
         assert run(["simulate", "--config", config, *mode,
                     "--trials", 1_000_000_000_000]) == 3
-        assert started == []
+        assert drawn == []
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("n_levels = 4", "n_levels = 25", "n_levels"),
+        ("max_sim_time_s = 3600.0", "max_sim_time_s = 0.0001", "max_sim_time"),
+    ])
+    def test_chain_limits_bind_only_the_chain_mode(self, tmp_path, monkeypatch, capsys,
+                                                   old, new, field):
+        # the depth and the time guard bound the chain Monte Carlo; the
+        # elementary link draws neither
+        config = write_chain_config(tmp_path)
+        config.write_text(config.read_text().replace(old, new))
+        assert run(["simulate", "--config", config, "--elementary"]) == 0
+        capsys.readouterr()
+        drawn = []
+        monkeypatch.setattr(chain_sim, "substream", lambda *a: drawn.append(a))
+        assert run(["simulate", "--config", config]) == 3
+        assert drawn == []
+        assert field in capsys.readouterr().err
 
     def test_chain_rate_calls_stalled_exits_three_before_any_trial(
             self, tmp_path, monkeypatch, capsys):
@@ -243,6 +259,16 @@ class TestLinkExperiment:
         modes = (out / "mode_scan.csv").read_text().splitlines()
         assert modes[0] == "mode_count,P_D,C"
         assert len(modes) == 3
+
+    def test_flat_fringe_writes_an_infinite_concurrence_error(self, tmp_path):
+        # no fringe shots: every fringe count is 0, so V = 0 with no error bar
+        path = write_link_config(tmp_path, storage_times="1.0, 150.0")
+        path.write_text(path.read_text().replace("fringe_shots = 2000", "fringe_shots = 0"))
+        out = tmp_path / "out"
+        assert run(["link-experiment", "--config", path, "--out-dir", out]) == 0
+        rows = [line.split(",") for line in (out / "storage_scan.csv").read_text().splitlines()]
+        assert rows[0] == ["storage_time_us", "C", "C_stderr", "V", "eta"]
+        assert [(row[2], row[3]) for row in rows[1:]] == [("inf", "0"), ("inf", "0")]
 
     def test_negative_seed_exits_three(self, tmp_path):
         config = tmp_path / "link.ini"
@@ -667,6 +693,16 @@ class TestSweep:
         assert run(["sweep", "--config", CONFIGS / "projection.ini", "--param", "l0",
                     "--min", "1e-300", "--max", 1, "--steps", 3,
                     "--fixed-total-km", "1e300", "--out-dir", out]) == 0
+        assert (out / "sweep.csv").exists()
+
+    def test_deepest_derivable_depth_is_in_range(self, tmp_path):
+        # log2(max float) - log2(min subnormal) = 1024 + 1074 levels, under
+        # the 10000 the [chain] section allows
+        config = write_chain_config(tmp_path, fiber_speed_km_s=1.0)
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", config, "--param", "l0",
+                    "--min", "5e-324", "--max", 1, "--steps", 2,
+                    "--fixed-total-km", sys.float_info.max, "--out-dir", out]) == 0
         assert (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("low", [0, -5])

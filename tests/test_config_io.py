@@ -178,6 +178,13 @@ class TestParseErrors:
         config = parse_config_text(f"[experiment]\nfringe_shots = {10**12}\n")
         assert config.experiment.fringe_shots == 10**12
 
+    def test_chains_deeper_than_ten_thousand_levels_are_rejected_when_parsed(self):
+        # `rate` holds and prints one row per level
+        with pytest.raises(ParameterError,
+                           match=r"n_levels must be finite and in \[0, 10000\], got 10001"):
+            parse_config_text("[chain]\nn_levels = 10001\n")
+        assert parse_config_text("[chain]\nn_levels = 10000\n").chain.n_levels == 10000
+
     def test_more_than_a_thousand_storage_times_are_rejected_when_parsed(self):
         # the mode scan's substreams start where the 1001st storage point's would
         times = ", ".join(["1.0"] * 1001)

@@ -73,6 +73,15 @@ class TestBootstrap:
         with pytest.raises(ParameterError, match="at least one heralded trial"):
             bootstrap_concurrence_stderr((0, 0, 0, 0), 0.8, substream(0, 0))
 
+    def test_flat_fringe_gives_an_infinite_stderr_without_a_draw(self):
+        # a fit of an all-zero fringe reports V = 0 with an infinite error;
+        # jittering V by it would clip every replicate to 0 or 1
+        rng = substream(3, 0)
+        state = rng.bit_generator.state
+        assert bootstrap_concurrence_stderr((600, 150, 150, 10), 0.0, rng,
+                                            visibility_stderr=math.inf) == math.inf
+        assert rng.bit_generator.state == state
+
 
 class TestVisibility:
     def test_perfect_fringe(self):

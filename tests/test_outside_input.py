@@ -5,24 +5,28 @@ values included) into every key of one section in turn. `[chain]` keys run
 the `rate` command, which must exit 0, 2 or 3 with nothing else escaping and,
 on exit 0, print a finite rate.
 `[link]`, `[sim]` and `[experiment]` keys are parsed and fed to the closed
-forms or to a `SimConfig`, which must raise ConfigError/ParameterError or
-return finite values. `simulate` and `link-experiment` are not run on drawn
-values: a swap that almost never succeeds under a huge finite time guard
-lets each trial draw up to a round's `chain_sim.MAX_ROUND_LINKS` links, so a
-run of many trials takes minutes.
+forms, which must raise ConfigError/ParameterError or return finite values,
+and to `simulate_chain` with its first round stubbed out, which must raise
+ParameterError or reach that round: every limit of the Monte Carlo is
+checked, and nothing is drawn.
+`simulate` and `link-experiment` are not run on drawn values: a swap that
+almost never succeeds under a huge finite time guard lets each trial draw up
+to a round's `chain_sim.MAX_ROUND_LINKS` links, so a run of many trials takes
+minutes.
 """
 
 import contextlib
 import io
 import math
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dlczsim import cli
-from dlczsim.chain_sim import SimConfig
+from dlczsim import chain_sim, cli
+from dlczsim.chain_sim import simulate_chain
 from dlczsim.config_io import parse_config_text
 from dlczsim.errors import ConfigError, ParameterError
 from dlczsim.link_physics import expected_herald_probability, expected_pmn
@@ -66,11 +70,20 @@ def config_text(section: str, key: str, value: float) -> str:
                    for name, keys in sections.items())
 
 
+class FirstRound(Exception):
+    """Raised where `simulate_chain` would draw its first round."""
+
+
+def first_round(*args):
+    raise FirstRound
+
+
 def test_base_config_is_valid():
     config = parse_config_text(config_text("sim", "seed", 1))
     assert expected_herald_probability(config.link) > 0.0
-    assert SimConfig(chain=config.chain, trials=config.trials, seed=config.seed,
-                     max_sim_time=config.max_sim_time).trials == 1000
+    assert config.trials == 1000
+    with mock.patch.object(chain_sim, "_round", first_round), pytest.raises(FirstRound):
+        simulate_chain(config)
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,11 +112,12 @@ def test_any_float_in_any_key_is_rejected_or_gives_finite_values(section, value)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")   # the multi-excitation warning
                 config = parse_config_text(config_text(section, key, value))
-                sim = SimConfig(chain=config.chain, trials=config.trials, seed=config.seed,
-                                max_sim_time=config.max_sim_time)
+                with mock.patch.object(chain_sim, "_round", first_round), \
+                        pytest.raises(FirstRound):
+                    simulate_chain(config)
                 herald = expected_herald_probability(config.link)
                 pmn = expected_pmn(config.link, config.experiment.storage_times[0])
         except (ConfigError, ParameterError):
             continue
-        values = (sim.trials, sim.seed, sim.max_sim_time, herald, *pmn.as_tuple())
+        values = (config.trials, config.seed, config.max_sim_time, herald, *pmn.as_tuple())
         assert all(math.isfinite(v) for v in values), (key, value, values)

@@ -9,7 +9,9 @@ generated INI, so they do the same work, and the load of a shared machine
 falls on both alike. For each workload it prints the median rep wall of each
 side, the paired ratio (median of change/base over the rounds) with a 95%
 bootstrap interval, and in how many rounds the change was faster. It also
-checks that both sides exit 0 and write the same result bytes.
+checks that both sides exit 0 and, in every round (each runs its own seed),
+outside the timed region, that they write the same result bytes; a
+difference names the round and the file.
 
     python tools/inprocess_ab.py --workload rate_sweep --rounds 300
     python tools/inprocess_ab.py --base HEAD~1 --workload chain_projection
@@ -69,6 +71,13 @@ def result_bytes(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
 
 
+def first_difference(base: dict[str, bytes], change: dict[str, bytes]) -> str | None:
+    """The first result file, by name, that one side wrote and the other did
+    not, or wrote with other bytes."""
+    return next((name for name in sorted(base.keys() | change.keys())
+                 if base.get(name) != change.get(name)), None)
+
+
 def bootstrap_interval(ratios: list[float], draws: int = 2000) -> tuple[float, float]:
     """95% interval of the median ratio, resampling rounds."""
     rng = random.Random(20231)
@@ -84,8 +93,10 @@ def compare(spec, mains: dict, rounds: int, seed: int, work: Path) -> dict:
         outs = {side: work / side for side in mains}
         order = list(mains) if k % 2 == 0 else list(mains)[::-1]
         timed = {side: time_rep(mains[side], spec.argvs(ini, outs[side])) for side in order}
-        if k == 0 and result_bytes(outs["base"]) != result_bytes(outs["change"]):
-            raise SystemExit(f"error: {spec.name}: the two sides wrote different result files")
+        differs = first_difference(result_bytes(outs["base"]), result_bytes(outs["change"]))
+        if differs:
+            raise SystemExit(f"error: {spec.name}: round {k} (program seed "
+                             f"{program_seed(seed, k)}): the two sides wrote different {differs}")
         if k >= WARMUP:
             for side, wall in timed.items():
                 walls[side].append(wall)
