@@ -53,10 +53,6 @@ EXIT_NO_CONVERGENCE = 5
 # version of the manifest.json layout
 ARTIFACT_VERSION = "1.0"
 
-# Link slots (train x mode x node) one link-experiment may draw: about 1 min at the
-# ~0.55 ns a slot of the shipped config (2.6e8 slots) on a 2-core Xeon, more if more are lit.
-MAX_LINK_SLOTS = 10**11
-
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="INI configuration file")
@@ -256,14 +252,15 @@ def cmd_simulate(args) -> int:
         print(f"intervals {trace.intervals}  successes {trace.successes}")
         print(f"empirical_success {format_float(trace.empirical_success)}  "
               f"analytic {format_float(trace.analytic_success)}")
-        run.emit("trace.json", write_text_atomic, canonical_json({
-            "mode": "elementary",
-            "intervals": trace.intervals,
-            "successes": trace.successes,
-            "empirical_success": trace.empirical_success,
-            "analytic_success": trace.analytic_success,
-            "waiting_times_tcc": trace.waiting_times.tolist(),
-        }))
+        if run.out_dir is not None:     # the text holds one number a success
+            run.emit("trace.json", write_text_atomic, canonical_json({
+                "mode": "elementary",
+                "intervals": trace.intervals,
+                "successes": trace.successes,
+                "empirical_success": trace.empirical_success,
+                "analytic_success": trace.analytic_success,
+                "waiting_times_tcc": trace.waiting_times.tolist(),
+            }))
         return run.finish(_config_as_dict(config), config.seed)
 
     trace = simulate_chain(config)
@@ -271,25 +268,26 @@ def cmd_simulate(args) -> int:
     print(f"empirical_rate_hz {format_float(trace.empirical_rate)} "
           f"+/- {format_float(trace.rate_stderr)}")
     print(f"analytic_rate_hz  {format_float(trace.analytic_rate)}")
-    run.emit("trace.json", write_text_atomic, canonical_json({
-        "trials": config.trials,
-        "seed": config.seed,
-        "delivered": trace.delivered,
-        "timeouts": trace.timeouts,
-        "swap_attempts": trace.swap_attempts.tolist(),
-        "swap_successes": trace.swap_successes.tolist(),
-        "readout_attempts": trace.readout_attempts,
-        "readout_successes": trace.readout_successes,
-        "empirical_rate_hz": trace.empirical_rate,
-        "rate_stderr_hz": trace.rate_stderr if math.isfinite(trace.rate_stderr) else None,
-        "analytic_rate_hz": trace.analytic_rate,
-        "mean_delivery_time_s": (float(trace.delivery_times.mean())
-                                 if trace.delivered else None),
-        "delivery_times_s": trace.delivery_times.tolist(),
-    }))
-    run.emit("latency.csv", write_csv_atomic, ("bin_start_s", "bin_end_s", "count"), [
-        (float(lo), float(hi), int(count)) for lo, hi, count in
-        zip(trace.histogram_edges[:-1], trace.histogram_edges[1:], trace.histogram_counts)])
+    if run.out_dir is not None:     # the text holds one number a delivery
+        run.emit("trace.json", write_text_atomic, canonical_json({
+            "trials": config.trials,
+            "seed": config.seed,
+            "delivered": trace.delivered,
+            "timeouts": trace.timeouts,
+            "swap_attempts": trace.swap_attempts.tolist(),
+            "swap_successes": trace.swap_successes.tolist(),
+            "readout_attempts": trace.readout_attempts,
+            "readout_successes": trace.readout_successes,
+            "empirical_rate_hz": trace.empirical_rate,
+            "rate_stderr_hz": trace.rate_stderr if math.isfinite(trace.rate_stderr) else None,
+            "analytic_rate_hz": trace.analytic_rate,
+            "mean_delivery_time_s": (float(trace.delivery_times.mean())
+                                     if trace.delivered else None),
+            "delivery_times_s": trace.delivery_times.tolist(),
+        }))
+        run.emit("latency.csv", write_csv_atomic, ("bin_start_s", "bin_end_s", "count"), [
+            (float(lo), float(hi), int(count)) for lo, hi, count in
+            zip(trace.histogram_edges[:-1], trace.histogram_edges[1:], trace.histogram_counts)])
     if trace.timeouts > 0.5 * config.trials:
         print(f"error: {trace.timeouts} of {config.trials} trials timed out at "
               f"max_sim_time={config.max_sim_time}s", file=sys.stderr)
@@ -308,19 +306,9 @@ def _emit_scan(run: _Run, name: str, rows: list[dict]) -> None:
 def cmd_link_experiment(args) -> int:
     run = _Run(args, "link-experiment")
     config = _load_config(args, "link")
-    exp = config.experiment
-    slots = (2 * config.link.mode_count * exp.trains * len(exp.storage_times_us)
-             + sum(2 * n * max(1, exp.window_budget // n) for n in exp.mode_counts))
-    if slots > MAX_LINK_SLOTS:
-        raise ParameterError(f"the scans would draw {slots} link slots, more than "
-                             f"{MAX_LINK_SLOTS}: lower trains or window_budget")
-
-    storage_points = storage_time_scan(
-        config.link, exp.storage_times, exp.trains, config.seed,
-        phases=exp.fringe_phases, shots_per_phase=exp.fringe_shots)
-    mode_points = mode_count_scan(
-        config.link, exp.mode_counts, exp.storage_times[0], exp.window_budget,
-        config.seed, phases=exp.fringe_phases, shots_per_phase=exp.fringe_shots)
+    # each scan checks both scans' slots first: an oversize run draws nothing
+    storage_points = storage_time_scan(config)
+    mode_points = mode_count_scan(config)
     for p in storage_points + mode_points:
         if not p.fit_converged:
             print(f"warning: the fringe fit did not converge at storage time "

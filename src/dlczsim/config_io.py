@@ -79,11 +79,11 @@ class LinkParams:
 
     def __post_init__(self):
         check_fields(self, LINK_FIELDS)
-        if self.chi * self.mode_count >= 1.0:
+        # each mode's law stops at 2 excitations; the modes are independent
+        if self.chi > 0.1:
             warnings.warn(
-                f"chi*mode_count = {self.chi * self.mode_count:.3g} >= 1: multi-excitation "
-                "regime, the truncated photon-number law is a poor approximation",
-                stacklevel=2)
+                f"chi = {self.chi:.3g} > 0.1: each mode's photon-number law drops the "
+                f"mass chi^3 = {self.chi ** 3:.3g} of 3 or more excitations", stacklevel=2)
 
 
 # check_fields spec of ChainParams, also its [chain] keys and the parameters
@@ -201,8 +201,8 @@ class ExperimentConfig:
 class RunConfig:
     """Everything a CLI run can need; sections absent from the file are None.
 
-    It is also the input of chain_sim.simulate_chain, which checks the limits
-    of the simulation itself (depth, time guard, trial count) before any draw.
+    It is also the input of chain_sim.simulate_chain and of the experiments
+    scans, which check their own work limits before any draw.
     """
 
     link: LinkParams | None = None

@@ -1,10 +1,14 @@
 """Link-experiment pipelines: storage-time scans and mode-count scans.
 
-Each storage-time point runs the sampled write/herald/readout pipeline to
-tally a PmnTable, measures the fringe visibility by fitting a sinusoid to
-Poisson-sampled fringe counts, and combines both into the concurrence. The
-mode-count scan repeats the heralding stage for every N and reports the
-multiplexed detection probability alongside the concurrence.
+Both scans read the parsed RunConfig's [link] and [experiment] sections and
+check the slots of the whole experiment (both scans) against MAX_LINK_SLOTS
+before their first draw. Each storage-time point runs the sampled
+write/herald/readout pipeline to tally a PmnTable, measures the fringe
+visibility by fitting a sinusoid to Poisson-sampled fringe counts, and
+combines both into the concurrence. The mode-count scan runs the same pipeline
+at the first storage time for every N and reports the multiplexed detection
+probability alongside the concurrence. Storage point i draws on substream
+(seed, i), mode point j on (seed, MAX_STORAGE_TIMES + j).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config_io import MAX_STORAGE_TIMES, LinkParams
+from .config_io import MAX_STORAGE_TIMES, ExperimentConfig, LinkParams, RunConfig
 from .errors import NoHeraldsError, ParameterError
 from .fitters import Samples, fit_sinusoid
 from .link_physics import fringe_expectation, run_link_trials
@@ -27,6 +31,11 @@ __all__ = [
     "storage_time_scan",
     "mode_count_scan",
 ]
+
+# Link slots (train x mode x node) one link experiment may draw, summed over
+# both scans: about 1 min at the ~0.55 ns a slot of the shipped config (2.6e8
+# slots) on a 2-core Xeon, more if more are lit.
+MAX_LINK_SLOTS = 10**11
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,7 @@ def fringe_counts(params: LinkParams, storage_time: float, rng: np.random.Genera
 
 
 def _point(params: LinkParams, storage_time: float, trains: int, seed_root: int,
-           stream: int, phases: int, shots_per_phase: int) -> ScanPoint:
+           stream: int, exp: ExperimentConfig) -> ScanPoint:
     """Draw one scan point: the link trials, fringe and bootstrap on
     substreams (seed_root, stream, 0 | 1 | 2)."""
     tally = run_link_trials(params, storage_time, trains, substream(seed_root, stream, 0))
@@ -71,8 +80,8 @@ def _point(params: LinkParams, storage_time: float, trains: int, seed_root: int,
             f"N={params.mode_count}: increase the train budget")
     # the visibility is the fitted sinusoid's, which shot noise cannot bias the
     # way raw max/min bins can (they pick the most upward-fluctuated bin)
-    fit = fit_sinusoid(fringe_counts(
-        params, storage_time, substream(seed_root, stream, 1), phases, shots_per_phase))
+    fit = fit_sinusoid(fringe_counts(params, storage_time, substream(seed_root, stream, 1),
+                                     exp.fringe_phases, exp.fringe_shots))
     vis, vis_err = fit.params["visibility"], fit.stderr["visibility"]
     stderr = bootstrap_concurrence_stderr(
         tally.pmn_counts.reshape(4), vis,
@@ -90,31 +99,32 @@ def _point(params: LinkParams, storage_time: float, trains: int, seed_root: int,
     )
 
 
-def storage_time_scan(params: LinkParams, storage_times, trains: int, seed: int,
-                      phases: int, shots_per_phase: int) -> list[ScanPoint]:
-    """Run the full pipeline at each storage time. ``trains`` applies per point."""
-    times = [float(t) for t in storage_times]
-    if len(times) > MAX_STORAGE_TIMES:
-        raise ParameterError(f"got {len(times)} storage times, more than MAX_STORAGE_TIMES = "
-                             f"{MAX_STORAGE_TIMES}: the later ones would share the mode scan's "
-                             "random streams")
-    return [_point(params, t, trains, seed, index, phases, shots_per_phase)
-            for index, t in enumerate(times)]
+def _checked(config: RunConfig) -> tuple[LinkParams, ExperimentConfig, list[int]]:
+    """The link and budgets of ``config`` and the trains of each mode point,
+    once both scans' slots fit MAX_LINK_SLOTS. Each mode point samples about
+    window_budget (train x window) slots, so small N gets enough heralds."""
+    link, exp = config.link, config.experiment
+    if link is None:
+        raise ParameterError("the link scans need a config with a [link] section")
+    mode_trains = [max(1, exp.window_budget // n) for n in exp.mode_counts]
+    slots = (2 * link.mode_count * exp.trains * len(exp.storage_times_us)
+             + sum(2 * n * trains for n, trains in zip(exp.mode_counts, mode_trains)))
+    if slots > MAX_LINK_SLOTS:
+        raise ParameterError(f"the scans would draw {slots} link slots, more than "
+                             f"{MAX_LINK_SLOTS}: lower trains or window_budget")
+    return link, exp, mode_trains
 
 
-def mode_count_scan(params: LinkParams, mode_counts, storage_time: float,
-                    window_budget: int, seed: int, phases: int,
-                    shots_per_phase: int) -> list[ScanPoint]:
-    """Scan the number of multiplexed modes at a fixed storage time.
+def storage_time_scan(config: RunConfig) -> list[ScanPoint]:
+    """The full pipeline at each storage time, ``trains`` trains a point."""
+    link, exp, _ = _checked(config)
+    return [_point(link, t, exp.trains, config.seed, index, exp)
+            for index, t in enumerate(exp.storage_times)]
 
-    ``window_budget`` is the total number of (train x window) slots sampled at
-    each N, so every point costs the same and the small-N points get enough
-    trains to accumulate heralds.
-    """
-    points = []
-    for index, n in enumerate(mode_counts):
-        n = int(n)
-        points.append(_point(dataclasses.replace(params, mode_count=n), storage_time,
-                             max(1, window_budget // n), seed, MAX_STORAGE_TIMES + index,
-                             phases, shots_per_phase))
-    return points
+
+def mode_count_scan(config: RunConfig) -> list[ScanPoint]:
+    """The full pipeline at each mode count, at the first storage time."""
+    link, exp, mode_trains = _checked(config)
+    return [_point(dataclasses.replace(link, mode_count=n), exp.storage_times[0], trains,
+                   config.seed, MAX_STORAGE_TIMES + index, exp)
+            for index, (n, trains) in enumerate(zip(exp.mode_counts, mode_trains))]

@@ -19,7 +19,7 @@ import pytest
 
 from dlczsim.chain_sim import simulate_chain, simulate_elementary_link
 from dlczsim.cli import main as cli_main
-from dlczsim.config_io import ChainParams, RunConfig
+from dlczsim.config_io import ChainParams, ExperimentConfig, RunConfig
 from dlczsim.experiments import mode_count_scan, storage_time_scan
 from dlczsim.fitters import Samples, fit_exponential, fit_linear_origin
 from dlczsim.link_physics import expected_window_detection, run_link_trials
@@ -129,11 +129,13 @@ def test_criterion_3_retrieval_decay_fit():
 
 def concurrence_calibration(seed):
     """Criterion 4's two storage points, at roots seed + 4 and seed + 40, and its checks."""
-    params = CALIBRATED_LINK
-    short = storage_time_scan(params, [1e-6], trains=1_500_000, seed=seed + 4,
-                              phases=12, shots_per_phase=50_000)[0]
-    long = storage_time_scan(params, [150e-6], trains=12_000_000, seed=seed + 40,
-                             phases=12, shots_per_phase=50_000)[0]
+    def point(storage_time_us, trains, root):
+        exp = ExperimentConfig(storage_times_us=(storage_time_us,), trains=trains,
+                               fringe_phases=12, fringe_shots=50_000)
+        return storage_time_scan(RunConfig(link=CALIBRATED_LINK, seed=root, experiment=exp))[0]
+
+    short = point(1.0, 1_500_000, seed + 4)
+    long = point(150.0, 12_000_000, seed + 40)
     c1_ok = abs(short.concurrence - 0.040) <= 0.02
     c150_ok = long.concurrence <= 0.01
     v1_ok = abs(short.visibility - 0.795) <= 3 * short.visibility_stderr
@@ -158,13 +160,12 @@ def test_criterion_4_concurrence_calibration():
 
 def crosstalk_monotonicity(seed):
     """Criterion 5's two mode scans, at roots seed + 5 and seed + 50, and its checks."""
-    t = 1e-6
-    budget = 6_000_000
-    with_xt = mode_count_scan(CALIBRATED_LINK, range(1, 13), t,
-                              budget, seed + 5, phases=12, shots_per_phase=20_000)
-    without = mode_count_scan(dataclasses.replace(CALIBRATED_LINK, crosstalk_eps=0.0),
-                              range(1, 13), t, budget, seed + 50,
-                              phases=12, shots_per_phase=20_000)
+    exp = ExperimentConfig(storage_times_us=(1.0,), mode_counts=tuple(range(1, 13)),
+                           window_budget=6_000_000, fringe_phases=12, fringe_shots=20_000)
+    with_xt = mode_count_scan(RunConfig(link=CALIBRATED_LINK, seed=seed + 5, experiment=exp))
+    without = mode_count_scan(RunConfig(
+        link=dataclasses.replace(CALIBRATED_LINK, crosstalk_eps=0.0), seed=seed + 50,
+        experiment=exp))
 
     def step_sigma(a, b):
         return math.sqrt(a.concurrence_stderr ** 2 + b.concurrence_stderr ** 2)

@@ -239,6 +239,17 @@ class TestSimulate:
         config.write_text(body)
         assert run(["simulate", "--config", config]) == 4
 
+    @pytest.mark.parametrize("mode", [[], ["--elementary"]])
+    def test_no_out_dir_builds_no_result_text(self, tmp_path, monkeypatch, capsys, mode):
+        # trace.json holds one number a delivery or success: a run that writes
+        # nothing must not build it
+        config = write_chain_config(tmp_path)
+        assert run(["simulate", "--config", config, *mode]) == 0
+        printed = capsys.readouterr().out
+        monkeypatch.setattr(cli, "canonical_json", lambda *a: pytest.fail("a text was built"))
+        assert run(["simulate", "--config", config, *mode]) == 0
+        assert capsys.readouterr().out == printed
+
 
 class TestLinkExperiment:
     def test_emits_scan_files(self, tmp_path):
@@ -286,19 +297,18 @@ class TestLinkExperiment:
         assert run(["link-experiment", "--config", config]) == 2
         assert started == []
 
-    def test_slot_budget_over_the_cap_exits_three_before_any_scan(self, tmp_path, monkeypatch,
+    def test_slot_budget_over_the_cap_exits_three_before_any_draw(self, tmp_path, monkeypatch,
                                                                   capsys):
         config = tmp_path / "link.ini"
         config.write_text((CONFIGS / "link_calibrated.ini").read_text()
                           .replace("trains = 1500000", "trains = 1000000000000"))
 
-        def no_scan(*args, **kwargs):
-            raise AssertionError("a scan ran")
-        monkeypatch.setattr(cli, "storage_time_scan", no_scan)
-        monkeypatch.setattr(cli, "mode_count_scan", no_scan)
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a scan point was drawn")
+        monkeypatch.setattr(experiments, "_point", no_draw)
         out = tmp_path / "out"
         assert run(["link-experiment", "--config", config, "--out-dir", out]) == 3
-        assert f"more than {cli.MAX_LINK_SLOTS}" in capsys.readouterr().err
+        assert f"more than {experiments.MAX_LINK_SLOTS}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("edits, code", [
@@ -392,12 +402,12 @@ class TestLinkExperiment:
 
     def test_multi_excitation_warning_is_one_warning_line(self, tmp_path, capsys):
         config = write_link_config(tmp_path)
-        config.write_text(config.read_text().replace("chi = 0.01", "chi = 0.1"))
+        config.write_text(config.read_text().replace("chi = 0.01", "chi = 0.2"))
         assert run(["link-experiment", "--config", config, "--out-dir", tmp_path / "a"]) == 0
         err = capsys.readouterr().err
-        assert [line for line in err.splitlines() if "chi*mode_count" in line] == [
-            "warning: chi*mode_count = 1.2 >= 1: multi-excitation regime, the truncated "
-            "photon-number law is a poor approximation"]
+        assert [line for line in err.splitlines() if "chi^3" in line] == [
+            "warning: chi = 0.2 > 0.1: each mode's photon-number law drops the mass "
+            "chi^3 = 0.008 of 3 or more excitations"]
         assert "UserWarning" not in err
         # the warning changes neither the exit code nor a result file
         with warnings.catch_warnings():
@@ -419,13 +429,8 @@ class TestResultLayouts:
         assert run(["link-experiment", "--config", path, "--out-dir", out]) == 0
 
         config = parse_config(path)
-        exp = config.experiment
-        storage = experiments.storage_time_scan(
-            config.link, exp.storage_times, exp.trains, config.seed,
-            phases=exp.fringe_phases, shots_per_phase=exp.fringe_shots)
-        modes = experiments.mode_count_scan(
-            config.link, exp.mode_counts, exp.storage_times[0], exp.window_budget,
-            config.seed, phases=exp.fringe_phases, shots_per_phase=exp.fringe_shots)
+        storage = experiments.storage_time_scan(config)
+        modes = experiments.mode_count_scan(config)
         assert [p.mode_count for p in storage] == [12, 12]
         assert [(p.storage_time, p.mode_count) for p in modes] == [(1e-6, 1), (1e-6, 12)]
 

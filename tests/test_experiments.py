@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dlczsim import experiments
-from dlczsim.config_io import MAX_STORAGE_TIMES
+from dlczsim.config_io import ExperimentConfig, LinkParams, RunConfig
 from dlczsim.errors import ParameterError
 from dlczsim.experiments import (
     fringe_counts,
@@ -45,16 +45,21 @@ class TestFringeCounts:
         assert np.abs(z).max() < 4.5
 
 
+def scan_config(link, seed, **experiment):
+    return RunConfig(link=link, seed=seed, experiment=ExperimentConfig(
+        fringe_phases=12, fringe_shots=5_000, **experiment))
+
+
 class TestScans:
     def test_storage_scan_emits_requested_points(self, calibrated):
-        points = storage_time_scan(calibrated, [1e-6, 50e-6], trains=150_000,
-                                   seed=7, phases=12, shots_per_phase=5_000)
-        assert [p.storage_time for p in points] == [1e-6, 50e-6]
+        config = scan_config(calibrated, 7, storage_times_us=(1.0, 50.0), trains=150_000)
+        points = storage_time_scan(config)
+        assert [p.storage_time for p in points] == list(config.experiment.storage_times)
         assert points[0].efficiency > points[1].efficiency
 
     def test_mode_scan_detection_probability_grows_linearly(self, clean_link):
-        points = mode_count_scan(clean_link, [1, 6, 12], 1e-6, 1_200_000, seed=8,
-                                 phases=12, shots_per_phase=5_000)
+        points = mode_count_scan(scan_config(clean_link, 8, storage_times_us=(1.0,),
+                                             mode_counts=(1, 6, 12), window_budget=1_200_000))
         p1, p6, p12 = [p.detection_probability for p in points]
         # clicks across windows are nearly independent Bernoullis at these rates
         s1, s6, s12 = [math.sqrt(n * expected_window_detection(clean_link) / (1_200_000 // n))
@@ -62,17 +67,33 @@ class TestScans:
         assert abs(p6 - 6 * p1) < 3 * math.hypot(s6, 6 * s1)
         assert abs(p12 - 12 * p1) < 3 * math.hypot(s12, 12 * s1)
 
-    def test_storage_scan_past_the_cap_raises_before_any_draw(self, calibrated, monkeypatch):
-        # point 1000 of a storage scan would draw on stream (seed, 1000), the
-        # mode scan's first point's; a library caller is stopped before any
-        # point is drawn, as ExperimentConfig stops a config (exit 2)
+
+class TestScanBudget:
+    """Each scan checks the slots of both scans against MAX_LINK_SLOTS before
+    its first point is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_draw(self, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("a scan point was drawn")
-
         monkeypatch.setattr(experiments, "_point", no_draw)
-        with pytest.raises(ParameterError, match="MAX_STORAGE_TIMES = 1000"):
-            storage_time_scan(calibrated, [1e-6] * (MAX_STORAGE_TIMES + 1), trains=10,
-                              seed=7, phases=12, shots_per_phase=10)
+
+    @staticmethod
+    def config(trains, window_budget):
+        # one mode a train and one mode point: 2 * trains + 2 * window_budget slots
+        return scan_config(LinkParams(chi=0.01, mode_count=1), 7, storage_times_us=(1.0,),
+                           mode_counts=(1,), trains=trains, window_budget=window_budget)
+
+    @pytest.mark.parametrize("scan", [storage_time_scan, mode_count_scan])
+    def test_over_budget_record_raises_before_any_draw(self, scan):
+        half = experiments.MAX_LINK_SLOTS // 4
+        # each scan alone fits; the two together are one train over the cap
+        with pytest.raises(ParameterError, match=f"more than {experiments.MAX_LINK_SLOTS}"):
+            scan(self.config(half + 1, half))
         with pytest.raises(AssertionError, match="a scan point was drawn"):
-            storage_time_scan(calibrated, [1e-6] * MAX_STORAGE_TIMES, trains=10,
-                              seed=7, phases=12, shots_per_phase=10)
+            scan(self.config(half, half))
+
+    @pytest.mark.parametrize("scan", [storage_time_scan, mode_count_scan])
+    def test_record_without_a_link_raises(self, scan):
+        with pytest.raises(ParameterError, match=r"\[link\]"):
+            scan(RunConfig())

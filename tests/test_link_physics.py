@@ -58,8 +58,13 @@ class TestLinkParams:
                 LinkParams(**{"chi": 0.01, name: math.nan})
 
     def test_warns_in_multi_excitation_regime(self):
-        with pytest.warns(UserWarning, match="multi-excitation"):
-            LinkParams(chi=0.2, mode_count=12)
+        # the truncation is per mode: it drops chi^3, whatever the mode count
+        with pytest.warns(UserWarning, match=r"chi\^3 = 0.008 of 3 or more excitations"):
+            LinkParams(chi=0.2, mode_count=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            LinkParams(chi=0.1, mode_count=1)
+            LinkParams(chi=0.01, mode_count=100)
 
     def test_occupation_probs_normalized_with_thermal_ratio(self):
         params = LinkParams(chi=0.3, mode_count=1)
