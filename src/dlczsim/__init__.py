@@ -5,8 +5,8 @@ The modules map onto the problem's layers:
     link_physics   photon statistics of one elementary link: batch sampling
                    pipeline and its exact closed forms
     metrics        concurrence / visibility / retrieval-efficiency estimators
-    rate           closed-form nested-chain rate recursion
-    chain_sim      level-pooled Monte Carlo of the full chain
+    rate           the chain law and its closed-form nested-chain rate recursion
+    chain_sim      level-pooled Monte Carlo of the full chain, on the same law
     fitters        weighted least-squares fits (exponential, linear, fringe)
     experiments    storage-time and mode-count scan pipelines
     config_io      every input record and its key spec, INI configs, result files

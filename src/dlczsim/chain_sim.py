@@ -10,11 +10,13 @@ The end-to-end pair is read out with a probability that decays with the
 elapsed trial time, and a failed readout restarts the trial. A trial ends when
 the readout succeeds, or times out at max_sim_time.
 
-This is deliberately more pessimistic than the mean-time recursion in `rate`:
-waiting for the slower of two child segments and rebuilding after failed swaps
-compound across levels, so the empirical rate sits well below the analytic one
-except near deterministic parameters. ChainTrace carries both rates so the gap
-is visible.
+Both samplers read the law of `rate.chain_law`, as the mean-time recursion in
+`rate` does; `simulate_chain` takes it from the recursion's report. The Monte
+Carlo is deliberately more pessimistic than the recursion: waiting for the
+slower of two child segments and rebuilding after failed swaps compound
+across levels, so the empirical rate sits well below the analytic one except
+near deterministic parameters. ChainTrace carries both rates so the gap is
+visible.
 
 A segment's build time does not depend on its start tick, so each level's
 build times are i.i.d. and are sampled as arrays from the level below; trials
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config_io import ChainParams, RunConfig
-from .errors import ParameterError, StalledChainError
-from .rate import elementary_p0, multiplexed_success, swap_chain
+from .errors import ParameterError
+from .rate import ChainLaw, chain_law, swap_chain
 from .streams import substream
 
 __all__ = [
@@ -81,19 +83,15 @@ def simulate_elementary_link(chain: ChainParams, trials: int, seed: int) -> Elem
     """
     if not 1 <= trials <= MAX_SIM_TRIALS:
         raise ParameterError(f"trials must be in [1, {MAX_SIM_TRIALS}] to simulate, got {trials}")
-    p0 = elementary_p0(chain)
-    p_multi = multiplexed_success(p0, chain.mode_count)
-    if p_multi == 0.0:
-        raise StalledChainError(0, "elementary link can never succeed: P0 = 0")
-    rng = substream(seed, 0)
-    hits = rng.binomial(chain.mode_count, p0, size=trials) > 0
+    law = chain_law(chain)
+    hits = substream(seed, 0).binomial(chain.mode_count, law.p0, size=trials) > 0
     success_ticks = np.nonzero(hits)[0]
     waits = np.diff(np.concatenate(([-1], success_ticks))).astype(np.int64)
     return ElementaryLinkTrace(
         intervals=trials,
         successes=int(success_ticks.size),
         empirical_success=float(success_ticks.size) / trials,
-        analytic_success=p_multi,
+        analytic_success=law.p_gen,
         waiting_times=waits,
     )
 
@@ -169,29 +167,28 @@ def _trials(lengths, uniforms, link_ends, trials: int, max_ticks: int, r0: float
     return ticks, starts, readouts
 
 
-def _round(chain: ChainParams, p_gen: float, max_ticks: int, per_trial: float,
+def _round(chain: ChainParams, law: ChainLaw, max_ticks: int, per_trial: float,
            seed: int, index: int, trials: int):
     """Run up to ``trials`` trials on round ``index``'s streams. Returns (per
     trial its delivery tick or None; swap attempts and successes per level;
     readout attempts), counting only swaps and readouts at ticks <= max_ticks.
     """
     n, width = chain.n_levels, max_ticks + 1
-    q, decay = chain.swap_intrinsic_factor * chain.r0 * chain.eta_td, chain.t_cc / chain.tau0
     # half again the estimate, so most rounds draw once; then double the draw.
     # Trials stop starting past half the budget, so draw at most 5/8 at first.
     size = min(MAX_ROUND_LINKS * 5 // 8, math.ceil(1.5 * trials * per_trial))
     while True:
         streams = [substream(seed, index, j) for j in range(n + 2)]
-        samples, levels = np.minimum(streams[0].geometric(p_gen, size), width), []
+        samples, levels = np.minimum(streams[0].geometric(law.p_gen, size), width), []
         for level in range(1, n + 1):
             samples, record = _level(samples, streams[level].random(samples.size // 2),
-                                     q, decay, width)
+                                     law.q, law.decay, width)
             levels.append(record)
         last = np.arange(samples.size)     # each top-level sample's last link
         for *_, level_last in reversed(levels):
             last = 2 * level_last[last] + 1
         run = _trials(samples, streams[n + 1].random(samples.size), last + 1, trials,
-                      max_ticks, chain.r0, decay)
+                      max_ticks, chain.r0, law.decay)
         if run:
             break
         if size == MAX_ROUND_LINKS:
@@ -248,11 +245,11 @@ def simulate_chain(config: RunConfig) -> ChainTrace:
     # back until the horizon
     odds = math.prod(report.level_success) * report.p_pr
     per_trial = 2 ** chain.n_levels * min(1 / max(odds, 1e-300),
-                                          max_ticks * report.p0_multiplexed + 1)
+                                          max_ticks * report.law.p_gen + 1)
 
     rounds, ticks = [], []
     while len(ticks) < config.trials:
-        rounds.append(_round(chain, report.p0_multiplexed, max_ticks, per_trial, config.seed,
+        rounds.append(_round(chain, report.law, max_ticks, per_trial, config.seed,
                              len(rounds), config.trials - len(ticks)))
         ticks += rounds[-1][0]
     _, attempts, successes, readouts = zip(*rounds)

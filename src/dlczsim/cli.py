@@ -212,8 +212,8 @@ def cmd_rate(args) -> int:
                 raise ParameterError(f"the level-{level} mean time t_{level} overflows")
 
         print(f"T_cc_s          {format_float(report.t_cc)}")
-        print(f"P0              {format_float(report.p0)}")
-        print(f"P0_multiplexed  {format_float(report.p0_multiplexed)}"
+        print(f"P0              {format_float(report.law.p0)}")
+        print(f"P0_multiplexed  {format_float(report.law.p_gen)}"
               f"   (linear N*P0 {format_float(report.p0_linear)})")
         print(f"t0_s            {format_float(report.t0)}")
         for i, (p_i, t_i) in enumerate(zip(report.level_success, report.level_time), start=1):
@@ -221,8 +221,8 @@ def cmd_rate(args) -> int:
         print(f"P_pr            {format_float(report.p_pr)}")
         print(f"rate_hz         {format_float(report.rate_hz)}")
         result = {
-            "p0": report.p0,
-            "p0_multiplexed": report.p0_multiplexed,
+            "p0": report.law.p0,
+            "p0_multiplexed": report.law.p_gen,
             "p0_linear": report.p0_linear,
             "t_cc_s": report.t_cc,
             "t0_s": report.t0,

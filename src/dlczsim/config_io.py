@@ -13,7 +13,6 @@ import configparser
 import json
 import math
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -306,16 +305,14 @@ def canonical_json(obj) -> str:
 def write_text_atomic(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    os.umask(umask := os.umask(0))     # read it: mkstemp makes 0600, open() 0666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.unlink(missing_ok=True)        # a stale copy from a killed run of this pid
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(tmp, "x") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

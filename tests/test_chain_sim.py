@@ -9,7 +9,7 @@ from dlczsim import chain_sim
 from dlczsim.chain_sim import _round, simulate_chain, simulate_elementary_link
 from dlczsim.config_io import ChainParams, RunConfig
 from dlczsim.errors import ParameterError, StalledChainError
-from dlczsim.rate import elementary_p0, multiplexed_success
+from dlczsim.rate import chain_law
 
 PROJECTION = ChainParams()  # defaults are the long-distance projection set
 
@@ -59,7 +59,7 @@ class TestElementaryLink:
     def test_waiting_times_are_geometric(self):
         # chi-squared goodness of fit against Geometric(P0^(N)) at the 1% level
         chain = ChainParams()  # p_multi = 0.0942
-        p = multiplexed_success(elementary_p0(chain), chain.mode_count)
+        p = chain_law(chain).p_gen
         trace = simulate_elementary_link(chain, 200_000, seed=5)
         waits = trace.waiting_times
         max_bin = int(np.quantile(waits, 0.99))
@@ -246,7 +246,7 @@ class TestExactChainCorners:
         # pairs of the pooled link array.
         for q, mean in ((0.6, 7.843), (0.02, 235.294)):
             chain = lossless_chain(n_levels=1, chi=0.3, swap_intrinsic_factor=q)
-            p = multiplexed_success(elementary_p0(chain), chain.mode_count)
+            p = chain_law(chain).p_gen
             assert p == pytest.approx(0.3)
             trace = simulate_chain(RunConfig(chain=chain, trials=10_000, seed=21))
             assert trace.delivered == 10_000
@@ -305,7 +305,7 @@ class TestExactChainCorners:
         # directly, since simulate_chain also evaluates the recursion, which
         # stalls at a zero swap factor.
         chain = lossless_chain(n_levels=2, chi=1.0, swap_intrinsic_factor=0.0)
-        ticks, attempts, successes, readouts = _round(chain, 1.0, 10, 1.0, 23, 0, 3)
+        ticks, attempts, successes, readouts = _round(chain, chain_law(chain), 10, 1.0, 23, 0, 3)
         assert ticks == [None] * 3
         assert attempts == [60, 0]
         assert successes == [0, 0]
@@ -369,7 +369,7 @@ class TestAgainstReferenceRecursion:
                                             seed=40 + b, max_sim_time=max_sim_time))
                    for b in range(self.BATCHES)]
         rng = np.random.default_rng(41)
-        p_gen = multiplexed_success(elementary_p0(chain), chain.mode_count)
+        p_gen = chain_law(chain).p_gen
         links, uniforms = endless(lambda k: rng.geometric(p_gen, k)), endless(rng.random)
         reference = [reference_trial(chain, max_ticks, links, uniforms)
                      for _ in range(self.TRIALS)]

@@ -216,8 +216,8 @@ class TestResultFormatting:
 
     @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=lambda u: f"umask_{u:03o}")
     def test_result_file_gets_the_mode_open_gives(self, tmp_path, umask):
-        # mkstemp makes its file 0600 and os.replace keeps that mode; a result
-        # file must come out as a plain open() makes one in the same directory
+        # os.replace keeps the temp file's mode, so the temp file must be made
+        # as a plain open() makes a result file in the same directory
         previous = os.umask(umask)
         try:
             with open(tmp_path / "plain.txt", "w") as fh:
@@ -228,6 +228,23 @@ class TestResultFormatting:
         assert (tmp_path / "rate.json").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
         assert (tmp_path / "rate.json").read_text() == "{}\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["plain.txt", "rate.json"]
+
+    def test_failed_write_leaves_no_temp_file_and_the_target_unchanged(self, tmp_path):
+        # a lone surrogate has no encoding, so the write fails after the temp
+        # file is made
+        (tmp_path / "rate.json").write_bytes(b"{}\n")
+        for name in ("rate.json", "fresh.json"):
+            with pytest.raises(UnicodeEncodeError):
+                write_text_atomic(tmp_path / name, "{\"x\": \"\ud800\"}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["rate.json"]
+        assert (tmp_path / "rate.json").read_bytes() == b"{}\n"
+
+    def test_stale_temp_file_does_not_block_the_write(self, tmp_path):
+        # a run killed between open and replace leaves <name>.<pid>.tmp behind
+        (tmp_path / f"rate.json.{os.getpid()}.tmp").write_text("stale")
+        write_text_atomic(tmp_path / "rate.json", "{}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["rate.json"]
+        assert (tmp_path / "rate.json").read_text() == "{}\n"
 
 
 class TestExperimentConfigValidation:

@@ -17,6 +17,7 @@ That is the exact law of one train's tally. It must equal the closed forms to
 O(1) numbers, as p11 = 1 - p00 - p01 - p10 is.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -128,13 +129,15 @@ GRID = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore:chi\\*mode_count")
 @pytest.mark.parametrize("mode_count", [1, 2, 3])
 @pytest.mark.parametrize("chi, eta_td, eps, dark, storage_time", GRID)
 def test_enumerated_train_equals_the_closed_forms(mode_count, chi, eta_td, eps, dark,
                                                    storage_time):
-    params = dataclasses.replace(CALIBRATED_LINK, chi=chi, eta_td=eta_td, crosstalk_eps=eps,
-                                 dark_count_prob=dark, mode_count=mode_count)
+    # the multi-excitation corners warn that the law stops at 2 excitations;
+    # the enumeration stops there too
+    with (pytest.warns(UserWarning, match="chi") if chi > 0.1 else contextlib.nullcontext()):
+        params = dataclasses.replace(CALIBRATED_LINK, chi=chi, eta_td=eta_td, crosstalk_eps=eps,
+                                     dark_count_prob=dark, mode_count=mode_count)
     law = _link_law(params, storage_time)
     herald, cells, clicks = enumerate_train(params, storage_time)
 

@@ -67,7 +67,8 @@ class TestLinkParams:
             LinkParams(chi=0.01, mode_count=100)
 
     def test_occupation_probs_normalized_with_thermal_ratio(self):
-        params = LinkParams(chi=0.3, mode_count=1)
+        with pytest.warns(UserWarning, match="chi"):
+            params = LinkParams(chi=0.3, mode_count=1)
         probs = occupation_probs(params)
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
         assert probs[2] / probs[1] == pytest.approx(0.3, abs=1e-15)
@@ -176,7 +177,8 @@ class TestSampleLitSlots:
         # oracle: P(k, j | j >= 1) is proportional to P(k) C(k, j) eta^j
         # (1 - eta)^(k - j); its three cells (1, 1), (2, 1), (2, 2) must pass
         # a chi-squared test at p = 1e-4, and no other cell may appear
-        params = LinkParams(chi=0.5, mode_count=1, eta_td=0.4)
+        with pytest.warns(UserWarning, match="chi"):
+            params = LinkParams(chi=0.5, mode_count=1, eta_td=0.4)
         _, p1, p2 = occupation_probs(params)
         eta = params.eta_td
         cells = {(1, 1): p1 * eta, (2, 1): p2 * 2 * eta * (1 - eta), (2, 2): p2 * eta ** 2}
@@ -542,8 +544,9 @@ class TestClosedFormAgainstSampling:
         # k >= 1 with q_pre (0.20 here) rather than with P(k >= 1) (0.28).
         # Five seeds; P_mn pooled into one chi-squared that must not be
         # rejected at p = 1e-4, and P_00 = 0 must stay empty
-        params = LinkParams(chi=0.3, mode_count=3, eta_td=0.3, retrieval_eff_zero=1.0,
-                            detection_eff=1.0)
+        with pytest.warns(UserWarning, match="chi"):
+            params = LinkParams(chi=0.3, mode_count=3, eta_td=0.3, retrieval_eff_zero=1.0,
+                                detection_eff=1.0)
         pmn_probs = expected_pmn(params, 0.0).as_tuple()
         chi2 = dof = 0
         for seed in range(5):

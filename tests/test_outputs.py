@@ -28,9 +28,10 @@ from dlczsim.chain_sim import ChainTrace, ElementaryLinkTrace
 from dlczsim.experiments import ScanPoint
 from dlczsim.fitters import FitResult
 from dlczsim.link_physics import LinkTally
-from dlczsim.rate import ChainReport
+from dlczsim.rate import ChainLaw, ChainReport
 
-RECORDS = [ScanPoint, ChainTrace, ElementaryLinkTrace, ChainReport, LinkTally, FitResult]
+RECORDS = [ScanPoint, ChainTrace, ElementaryLinkTrace, ChainLaw, ChainReport, LinkTally,
+           FitResult]
 
 # fields no reader takes yet, each with the ROADMAP item that removes it from this list
 UNREAD = {

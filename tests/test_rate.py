@@ -6,7 +6,7 @@ import pytest
 
 from dlczsim.config_io import ChainParams
 from dlczsim.errors import ParameterError, StalledChainError
-from dlczsim.rate import elementary_p0, multiplexed_success, swap_chain
+from dlczsim.rate import chain_law, multiplexed_success, swap_chain
 
 PROJECTION = ChainParams(
     l0=63.0, l_att=22.0, n_levels=4, fiber_speed=2.0e5,
@@ -17,15 +17,17 @@ PROJECTION = ChainParams(
 
 class TestElementaryP0:
     def test_zero_chi(self):
-        assert elementary_p0(dataclasses.replace(PROJECTION, chi=0.0)) == 0.0
+        with pytest.raises(StalledChainError) as err:
+            chain_law(dataclasses.replace(PROJECTION, chi=0.0))
+        assert err.value.level == 0
 
     def test_no_fiber_loss_limit(self):
         params = dataclasses.replace(PROJECTION, l0=1e-12)
-        assert elementary_p0(params) == pytest.approx(0.01 * 0.46 * 0.9, rel=1e-12)
+        assert chain_law(params).p0 == pytest.approx(0.01 * 0.46 * 0.9, rel=1e-12)
 
     def test_reference_point(self):
         # hand evaluation: 0.01 * e^(-63/44) * 0.46 * 0.9 = 9.88939e-4
-        assert elementary_p0(PROJECTION) == pytest.approx(9.889392e-4, rel=1e-6)
+        assert chain_law(PROJECTION).p0 == pytest.approx(9.889392e-4, rel=1e-6)
 
     def test_rejects_bad_domains(self):
         with pytest.raises(ParameterError):
@@ -110,7 +112,7 @@ class TestSwapChain:
     def test_no_swap_levels_reduces_to_generation_and_readout(self):
         params = dataclasses.replace(PROJECTION, n_levels=0)
         report = swap_chain(params)
-        p_multi = multiplexed_success(elementary_p0(params), 100)
+        p_multi = multiplexed_success(chain_law(params).p0, 100)
         t0 = params.t_cc / p_multi
         p_pr = 0.8 * math.exp(-t0 / 16.0)
         assert report.level_success == []
@@ -137,7 +139,7 @@ class TestSwapChain:
     def test_multiplexing_consistency_at_one_mode(self):
         params = dataclasses.replace(PROJECTION, mode_count=1)
         report = swap_chain(params)
-        assert report.p0_multiplexed == pytest.approx(report.p0, abs=1e-18)
+        assert report.law.p_gen == pytest.approx(report.law.p0, abs=1e-18)
 
     def test_stalls_with_zero_chi(self):
         with pytest.raises(StalledChainError) as err:
