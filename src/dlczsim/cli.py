@@ -8,7 +8,8 @@ Commands
     sweep            rate as a function of one chain parameter
 
 Every result file and the manifest are laid out here, from the records the
-library returns.
+library returns. The numpy-backed commands bind their kernels on first use
+(the module ``__getattr__``), so ``rate`` and ``sweep`` never import numpy.
 
 Exit codes: 0 success, 2 config/CSV parse failure or bad arguments, 3 domain
 violation, 4 degenerate run (timeout-dominated simulation, zero heralds),
@@ -28,7 +29,6 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .chain_sim import simulate_chain, simulate_elementary_link
 from .config_io import (
     CHAIN_FIELDS,
     canonical_json,
@@ -40,8 +40,6 @@ from .config_io import (
 )
 from .errors import (RANGES, ConfigError, DlczSimError, NoHeraldsError, ParameterError,
                      StalledChainError, rule)
-from .experiments import mode_count_scan, storage_time_scan
-from .fitters import Samples, fit_exponential, fit_linear_origin, fit_sinusoid
 from .rate import swap_chain
 
 EXIT_OK = 0
@@ -52,6 +50,30 @@ EXIT_NO_CONVERGENCE = 5
 
 # version of the manifest.json layout
 ARTIFACT_VERSION = "1.0"
+
+
+def __getattr__(name: str):
+    """Bind a kernel name and its module's siblings on first use (PEP 562).
+
+    A name that is already bound, such as a test's patch, is kept. Each
+    command calls this for the names it uses before it calls them.
+    """
+    if name in ("simulate_chain", "simulate_elementary_link"):
+        from .chain_sim import simulate_chain, simulate_elementary_link
+        found = dict(simulate_chain=simulate_chain,
+                     simulate_elementary_link=simulate_elementary_link)
+    elif name in ("storage_time_scan", "mode_count_scan"):
+        from .experiments import mode_count_scan, storage_time_scan
+        found = dict(storage_time_scan=storage_time_scan, mode_count_scan=mode_count_scan)
+    elif name in ("Samples", "_FIT_DISPATCH"):
+        from .fitters import Samples, fit_exponential, fit_linear_origin, fit_sinusoid
+        found = dict(Samples=Samples, _FIT_DISPATCH={
+            "exp": fit_exponential, "linear": fit_linear_origin, "sinusoid": fit_sinusoid})
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for key, value in found.items():
+        globals().setdefault(key, value)
+    return globals()[name]
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -246,6 +268,7 @@ def cmd_rate(args) -> int:
 def cmd_simulate(args) -> int:
     run = _Run(args, "simulate")
     config = _load_config(args, "chain")
+    __getattr__("simulate_chain")
 
     if args.elementary:
         trace = simulate_elementary_link(config.chain, config.trials, config.seed)
@@ -306,6 +329,7 @@ def _emit_scan(run: _Run, name: str, rows: list[dict]) -> None:
 def cmd_link_experiment(args) -> int:
     run = _Run(args, "link-experiment")
     config = _load_config(args, "link")
+    __getattr__("storage_time_scan")
     # each scan checks both scans' slots first: an oversize run draws nothing
     storage_points = storage_time_scan(config)
     mode_points = mode_count_scan(config)
@@ -325,15 +349,9 @@ def cmd_link_experiment(args) -> int:
     return run.finish(_config_as_dict(config), config.seed)
 
 
-_FIT_DISPATCH = {
-    "exp": fit_exponential,
-    "linear": fit_linear_origin,
-    "sinusoid": fit_sinusoid,
-}
-
-
 def cmd_fit(args) -> int:
     run = _Run(args, "fit")
+    __getattr__("_FIT_DISPATCH")
     samples = Samples.from_csv(args.csv)
     result = _FIT_DISPATCH[args.model](samples)
     text = canonical_json(dataclasses.asdict(result))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlczsim import chain_sim, cli, experiments
+from dlczsim import chain_sim, cli, experiments, fitters
 from dlczsim.config_io import format_cell, parse_config
 from dlczsim.fitters import FitResult
 
@@ -885,3 +885,124 @@ class TestImportGraph:
                         reached.add(name)
                         todo.append(name)
         assert modules - reached == set()
+
+
+# every module that imports numpy, and numpy itself
+NUMPY_MODULES = {"numpy", *(f"dlczsim.{name}" for name in (
+    "chain_sim", "experiments", "fitters", "link_physics", "metrics", "streams"))}
+
+# in a fresh interpreter: import the CLI, run argv (JSON, or null for none) and
+# print the exit code and every loaded module as the last line
+LOADED = """\
+import json, sys
+import dlczsim.cli
+argv, code = json.loads(sys.argv[1]), None
+if argv is not None:
+    try:
+        code = dlczsim.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+class TestLazyImports:
+    """`rate`, `sweep` and the parser's own exits never import numpy; every
+    other command loads only its own kernel modules."""
+
+    ENV = TestParserCache.ENV
+
+    def loaded(self, argv) -> tuple:
+        done = subprocess.run([sys.executable, "-c", LOADED,
+                               json.dumps(None if argv is None else [str(a) for a in argv])],
+                              capture_output=True, text=True, env=self.ENV, check=True)
+        code, modules = json.loads(done.stdout.splitlines()[-1])
+        return code, NUMPY_MODULES & set(modules)
+
+    @pytest.mark.parametrize("argv, code", [
+        (None, None),
+        (["rate", "--config", CONFIGS / "projection.ini", "--out-dir", "{out}"], 0),
+        (["rate", "--config", CONFIGS / "projection.ini", "--format", "csv",
+          "--out-dir", "{out}"], 0),
+        (["sweep", "--config", CONFIGS / "projection.ini", "--param", "l0", "--min", "8",
+          "--max", "504", "--steps", "64", "--fixed-total-km", "1008", "--out-dir", "{out}"],
+         0),
+        (["--version"], 0),
+        (["rate", "--format", "xml"], 2),
+    ], ids=["import", "rate-json", "rate-csv", "sweep-64", "version", "argparse-exit"])
+    def test_loads_no_numpy(self, tmp_path, argv, code):
+        if argv is not None:
+            argv = [tmp_path / "out" if a == "{out}" else a for a in argv]
+        assert self.loaded(argv) == (code, set())
+
+    @pytest.mark.parametrize("elementary", [[], ["--elementary"]])
+    def test_simulate_loads_no_link_kernels(self, tmp_path, elementary):
+        config = write_chain_config(tmp_path)
+        code, modules = self.loaded(["simulate", "--config", config, *elementary])
+        assert code == 0
+        assert "dlczsim.chain_sim" in modules
+        assert modules & {"dlczsim.experiments", "dlczsim.fitters"} == set()
+
+    def test_fit_loads_no_chain_or_scan(self, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_text("x,y\n1.0,2.0\n2.0,4.1\n3.0,5.9\n")
+        code, modules = self.loaded(["fit", csv, "--model", "linear"])
+        assert code == 0
+        assert "dlczsim.fitters" in modules
+        assert modules & {"dlczsim.chain_sim", "dlczsim.experiments"} == set()
+
+
+class PatchCalled(Exception):
+    """Raised by a patched kernel, so a test sees that the patch ran."""
+
+
+class TestPatchPoints:
+    """`cli.<name>` is the one patch point of every lazily bound kernel: a
+    patch made before the first command is what the command calls."""
+
+    LAZY = {"simulate_chain": (chain_sim, "simulate_chain"),
+            "simulate_elementary_link": (chain_sim, "simulate_elementary_link"),
+            "storage_time_scan": (experiments, "storage_time_scan"),
+            "mode_count_scan": (experiments, "mode_count_scan"),
+            "Samples": (fitters, "Samples")}
+
+    @pytest.fixture
+    def unbound(self, monkeypatch):
+        """``cli`` as a fresh import leaves it: no lazy name bound yet."""
+        for name in (*self.LAZY, "_FIT_DISPATCH"):
+            monkeypatch.delitem(vars(cli), name, raising=False)
+        return monkeypatch
+
+    def test_getattr_binds_the_defining_modules_object(self, unbound):
+        for name, (module, attr) in self.LAZY.items():
+            assert getattr(cli, name) is getattr(module, attr)
+        assert cli._FIT_DISPATCH == {"exp": fitters.fit_exponential,
+                                     "linear": fitters.fit_linear_origin,
+                                     "sinusoid": fitters.fit_sinusoid}
+
+    def test_unknown_name_is_an_attribute_error_naming_the_module(self):
+        assert not hasattr(cli, "no_such_name")
+        with pytest.raises(AttributeError, match="'dlczsim.cli' has no attribute 'no_such_name'"):
+            cli.no_such_name
+
+    @staticmethod
+    def patched(*args):
+        raise PatchCalled
+
+    def test_simulate_calls_the_patch(self, tmp_path, unbound):
+        unbound.setattr(cli, "simulate_chain", self.patched)
+        with pytest.raises(PatchCalled):
+            run(["simulate", "--config", write_chain_config(tmp_path)])
+
+    def test_link_experiment_calls_the_patch(self, tmp_path, unbound):
+        unbound.setattr(cli, "storage_time_scan", self.patched)
+        with pytest.raises(PatchCalled):
+            run(["link-experiment", "--config", write_link_config(tmp_path)])
+
+    def test_fit_calls_the_patched_table(self, tmp_path, unbound):
+        csv = tmp_path / "data.csv"
+        csv.write_text("x,y\n1.0,1.0\n2.0,2.0\n")
+        stuck = FitResult(model="linear_origin", params={"slope": 1.0},
+                          stderr={"slope": 0.0}, rss=0.0, converged=False, iterations=200)
+        unbound.setattr(cli, "_FIT_DISPATCH", {"linear": lambda samples: stuck})
+        assert run(["fit", csv, "--model", "linear"]) == 5
