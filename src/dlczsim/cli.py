@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from .config_io import (
-    CHAIN_FIELDS,
+    ChainParams,
     canonical_json,
     format_cell,
     format_float,
@@ -39,7 +39,7 @@ from .config_io import (
     write_text_atomic,
 )
 from .errors import (RANGES, ConfigError, DlczSimError, NoHeraldsError, ParameterError,
-                     StalledChainError, rule)
+                     StalledChainError, field_spec, rule)
 from .rate import swap_chain
 
 EXIT_OK = 0
@@ -382,7 +382,7 @@ def _monotonicity(values) -> str:
 def cmd_sweep(args) -> int:
     run = _Run(args, "sweep")
     config = _load_config(args, "chain")
-    casts = {name: cast for name, cast, _ in CHAIN_FIELDS}
+    casts = {name: cast for name, cast, _, _ in field_spec(ChainParams)}
     if args.param not in casts:
         raise ConfigError(f"unknown chain parameter {args.param!r}; choose from "
                           f"{sorted(casts)}")

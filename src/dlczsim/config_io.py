@@ -1,9 +1,9 @@
 """Every input record, the INI configs that set them, and the result writers.
 
-Each record's check_fields spec is also its INI section: each key is a field
-plus its unit suffix (l0_km, tau0_s, ...), so a value can never be mis-read in
-the wrong unit. No numpy is imported, so a config is read and checked without
-loading a kernel. Result files are written atomically (temp file + rename)
+A record's checked fields (`errors.checked`) are also its INI section: each
+key is a field plus its unit suffix (l0_km, tau0_s, ...), so a value can never
+be mis-read in the wrong unit. No numpy is imported, so a config is read and
+checked without loading a kernel. Result files are written atomically (temp file + rename)
 with every float at 9 significant digits, which makes reruns byte-comparable.
 """
 
@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, ParameterError, check_fields
+from .errors import ConfigError, ParameterError, check_fields, checked, field_spec
 
 __all__ = [
     "LinkParams",
@@ -32,20 +32,6 @@ __all__ = [
     "write_text_atomic",
     "write_csv_atomic",
 ]
-
-
-# check_fields spec of LinkParams, also its [link] keys
-LINK_FIELDS = (
-    ("chi", float, "in [0, 1)"),    # chi = 1 has no normalizable thermal law
-    ("mode_count", int, "in [1, 1000000]"),
-    ("retrieval_eff_zero", float, "in [0, 1]"),
-    ("memory_lifetime", float, "> 0"),
-    ("detection_eff", float, "in (0, 1]"),   # intrinsic_efficiency divides by it
-    ("eta_td", float, "in [0, 1]"),
-    ("visibility_cap", float, "in [0, 1]"),
-    ("dark_count_prob", float, "in [0, 1]"),
-    ("crosstalk_eps", float, "in [0, 1]"),
-)
 
 
 @dataclass(frozen=True)
@@ -66,40 +52,23 @@ class LinkParams:
                         one photon into a collected anti-Stokes mode at readout.
     """
 
-    chi: float
-    mode_count: int = 12
-    retrieval_eff_zero: float = 0.707
-    memory_lifetime: float = 0.3e-3
-    detection_eff: float = 1.0
-    eta_td: float = 1.0
-    visibility_cap: float = 1.0
-    dark_count_prob: float = 0.0
-    crosstalk_eps: float = 0.0
+    chi: float = checked("in [0, 1)")    # chi = 1 has no normalizable thermal law
+    mode_count: int = checked("in [1, 1000000]", 12)
+    retrieval_eff_zero: float = checked("in [0, 1]", 0.707)
+    memory_lifetime: float = checked("> 0", 0.3e-3, unit="_s")
+    detection_eff: float = checked("in (0, 1]", 1.0)   # intrinsic_efficiency divides by it
+    eta_td: float = checked("in [0, 1]", 1.0)
+    visibility_cap: float = checked("in [0, 1]", 1.0)
+    dark_count_prob: float = checked("in [0, 1]", 0.0)
+    crosstalk_eps: float = checked("in [0, 1]", 0.0)
 
     def __post_init__(self):
-        check_fields(self, LINK_FIELDS)
+        check_fields(self)
         # each mode's law stops at 2 excitations; the modes are independent
         if self.chi > 0.1:
             warnings.warn(
                 f"chi = {self.chi:.3g} > 0.1: each mode's photon-number law drops the "
                 f"mass chi^3 = {self.chi ** 3:.3g} of 3 or more excitations", stacklevel=2)
-
-
-# check_fields spec of ChainParams, also its [chain] keys and the parameters
-# `sweep` may vary
-CHAIN_FIELDS = (
-    ("l0", float, "> 0"),
-    ("l_att", float, "> 0"),
-    ("n_levels", int, "in [0, 10000]"),
-    ("fiber_speed", float, "> 0"),
-    ("eta_fc", float, "in [0, 1]"),
-    ("eta_td", float, "in [0, 1]"),
-    ("chi", float, "in [0, 1]"),
-    ("mode_count", int, ">= 1"),
-    ("r0", float, "in [0, 1]"),
-    ("tau0", float, "> 0"),
-    ("swap_intrinsic_factor", float, "in [0, 1]"),
-)
 
 
 @dataclass(frozen=True)
@@ -121,20 +90,20 @@ class ChainParams:
         linear-optics BSM.
     """
 
-    l0: float = 63.0
-    l_att: float = 22.0
-    n_levels: int = 4
-    fiber_speed: float = 2.0e5
-    eta_fc: float = 0.46
-    eta_td: float = 0.9
-    chi: float = 0.01
-    mode_count: int = 100
-    r0: float = 0.8
-    tau0: float = 16.0
-    swap_intrinsic_factor: float = 1.0
+    l0: float = checked("> 0", 63.0, unit="_km")
+    l_att: float = checked("> 0", 22.0, unit="_km")
+    n_levels: int = checked("in [0, 10000]", 4)
+    fiber_speed: float = checked("> 0", 2.0e5, unit="_km_s")
+    eta_fc: float = checked("in [0, 1]", 0.46)
+    eta_td: float = checked("in [0, 1]", 0.9)
+    chi: float = checked("in [0, 1]", 0.01)
+    mode_count: int = checked(">= 1", 100)
+    r0: float = checked("in [0, 1]", 0.8)
+    tau0: float = checked("> 0", 16.0, unit="_s")
+    swap_intrinsic_factor: float = checked("in [0, 1]", 1.0)
 
     def __post_init__(self):
-        check_fields(self, CHAIN_FIELDS)
+        check_fields(self)
         if not 0.0 < self.t_cc < math.inf:
             raise ParameterError(
                 f"T_cc = l0/fiber_speed = {self.t_cc!r} s is not a positive finite time")
@@ -145,28 +114,9 @@ class ChainParams:
         return self.l0 / self.fiber_speed
 
 
-# check_fields spec of the run budget, also its [sim] keys; only RunConfig
-# checks them, and chain_sim.simulate_chain adds the simulation's own limits
-SIM_FIELDS = (
-    ("trials", int, ">= 1"),
-    ("seed", int, ">= 0"),
-    ("max_sim_time", float, "> 0"),
-)
-
-
 # Storage points a scan may have: experiments.mode_count_scan's substreams
 # start at this index, after the storage scan's
 MAX_STORAGE_TIMES = 1000
-
-# check_fields spec of ExperimentConfig, also its [experiment] keys
-EXPERIMENT_FIELDS = (
-    ("storage_times_us", (float,), ">= 0"),
-    ("mode_counts", (int,), "in [1, 1000000]"),
-    ("trains", int, ">= 1"),
-    ("window_budget", int, ">= 1"),
-    ("fringe_phases", int, ">= 4"),     # a sinusoid fit needs 4 phases
-    ("fringe_shots", int, "in [0, 1000000000000]"),
-)
 
 
 @dataclass(frozen=True)
@@ -178,15 +128,15 @@ class ExperimentConfig:
     use `storage_times` for seconds.
     """
 
-    storage_times_us: tuple[float, ...] = (1.0, 150.0)
-    mode_counts: tuple[int, ...] = tuple(range(1, 13))
-    trains: int = 200_000
-    window_budget: int = 2_400_000
-    fringe_phases: int = 12
-    fringe_shots: int = 4000
+    storage_times_us: tuple[float, ...] = checked(">= 0", (1.0, 150.0))
+    mode_counts: tuple[int, ...] = checked("in [1, 1000000]", tuple(range(1, 13)))
+    trains: int = checked(">= 1", 200_000)
+    window_budget: int = checked(">= 1", 2_400_000)
+    fringe_phases: int = checked(">= 4", 12)     # a sinusoid fit needs 4 phases
+    fringe_shots: int = checked("in [0, 1000000000000]", 4000)
 
     def __post_init__(self):
-        check_fields(self, EXPERIMENT_FIELDS, ConfigError)
+        check_fields(self, ConfigError)
         if len(self.storage_times_us) > MAX_STORAGE_TIMES:
             raise ConfigError(f"storage_times_us must hold at most {MAX_STORAGE_TIMES} "
                               f"values, got {len(self.storage_times_us)}")
@@ -198,7 +148,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI run can need; sections absent from the file are None.
+    """Everything a CLI run can need; sections absent from the file are None,
+    and the checked fields are the [sim] keys.
 
     It is also the input of chain_sim.simulate_chain and of the experiments
     scans, which check their own work limits before any draw.
@@ -206,29 +157,22 @@ class RunConfig:
 
     link: LinkParams | None = None
     chain: ChainParams | None = None
-    trials: int = 1000
-    seed: int = 0
-    max_sim_time: float = 3600.0
+    trials: int = checked(">= 1", 1000)
+    seed: int = checked(">= 0", 0)
+    max_sim_time: float = checked("> 0", 3600.0, unit="_s")
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
     def __post_init__(self):
-        check_fields(self, SIM_FIELDS)
+        check_fields(self)
 
 
-# Unit suffix of a field's INI key; every other key is the bare field name.
-_UNITS = {
-    "l0": "_km", "l_att": "_km", "fiber_speed": "_km_s",
-    "tau0": "_s", "memory_lifetime": "_s", "max_sim_time": "_s",
-}
-
-
-def _read_section(parser: configparser.ConfigParser, section: str, spec) -> dict:
-    """The fields of a check_fields spec that ``section`` sets, each cast by
-    its spec; a list field's items are separated by commas or spaces."""
+def _read_section(parser: configparser.ConfigParser, section: str, record) -> dict:
+    """The checked fields of ``record`` that ``section`` sets, each cast by its
+    annotation; a list field's items are separated by commas or spaces."""
     fields = {}
     keys = set()
-    for name, cast, _ in spec:
-        key = name + _UNITS.get(name, "")
+    for name, cast, _, unit in field_spec(record):
+        key = name + unit
         keys.add(key)
         if parser.has_option(section, key):
             raw = parser.get(section, key)
@@ -257,13 +201,13 @@ def parse_config_text(text: str, source: str = "<string>") -> RunConfig:
     experiment = ExperimentConfig()
     for section in parser.sections():
         if section == "link":
-            link = LinkParams(**_read_section(parser, section, LINK_FIELDS))
+            link = LinkParams(**_read_section(parser, section, LinkParams))
         elif section == "chain":
-            chain = ChainParams(**_read_section(parser, section, CHAIN_FIELDS))
+            chain = ChainParams(**_read_section(parser, section, ChainParams))
         elif section == "sim":
-            sim_fields = _read_section(parser, section, SIM_FIELDS)
+            sim_fields = _read_section(parser, section, RunConfig)
         elif section == "experiment":
-            experiment = ExperimentConfig(**_read_section(parser, section, EXPERIMENT_FIELDS))
+            experiment = ExperimentConfig(**_read_section(parser, section, ExperimentConfig))
         else:
             raise ConfigError(f"{source}: unknown section [{section}]")
     return RunConfig(link=link, chain=chain, experiment=experiment, **sim_fields)

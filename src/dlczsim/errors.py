@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the field validator that
-raises them for every parameter dataclass."""
+"""Exception types shared across the package, and the field declarator and
+validator that every input record uses."""
 
+import dataclasses
+import functools
 import math
 
 
@@ -64,15 +66,31 @@ def rule(allowed) -> str:
     return "finite" if allowed is None else f"finite and {allowed}"
 
 
-def check_fields(obj, spec, error=ParameterError) -> None:
-    """Cast, finiteness-check and range-check the fields of a frozen dataclass.
+# The cast of each (string) annotation a checked field may carry; a one-item
+# tuple casts each item of a non-empty tuple field.
+CASTS = {"float": float, "int": int, "tuple[float, ...]": (float,), "tuple[int, ...]": (int,)}
 
-    ``spec`` lists ``(field, cast, allowed)`` triples. ``cast`` is int or
-    float, or a one-item tuple such as ``(float,)`` for a non-empty tuple field
-    whose items are each cast and checked. ``allowed`` is a key of RANGES; None
-    admits any finite value. Each failure raises ``error`` naming the field.
-    """
-    for name, cast, allowed in spec:
+
+def checked(allowed, default=dataclasses.MISSING, unit: str = ""):
+    """A dataclass field that check_fields casts and range-checks. ``allowed``
+    is a key of RANGES (None admits any finite value); ``unit`` is the suffix
+    of the field's INI key (``l0`` is read from ``l0_km``)."""
+    return dataclasses.field(default=default, metadata={"allowed": allowed, "unit": unit})
+
+
+@functools.cache
+def field_spec(cls) -> tuple:
+    """``(name, cast, allowed, unit)`` of each checked field of ``cls``, in
+    declaration order; built once per record class."""
+    return tuple((f.name, CASTS[f.type], f.metadata["allowed"], f.metadata["unit"])
+                 for f in dataclasses.fields(cls) if "allowed" in f.metadata)
+
+
+def check_fields(obj, error=ParameterError) -> None:
+    """Cast, finiteness-check and range-check the checked fields of a frozen
+    dataclass, in declaration order, each by its annotation and its range.
+    Each failure raises ``error`` naming the field."""
+    for name, cast, allowed, _ in field_spec(type(obj)):
         lo, hi = RANGES[allowed]
         raw = getattr(obj, name)
         try:
@@ -91,4 +109,3 @@ def check_fields(obj, spec, error=ParameterError) -> None:
             raise error(f"{name} must be {must}, got {value!r}")
         if value is not raw:
             object.__setattr__(obj, name, value)
-

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config_io import LinkParams
-from .errors import ParameterError, check_fields
+from .errors import ParameterError, check_fields, checked
+from .rate import multiplexed_success
 
 __all__ = [
     "PmnTable",
@@ -77,14 +78,13 @@ class PmnTable:
     aS_L field (clicks, not photons: detectors are not number resolving).
     """
 
-    p00: float
-    p01: float
-    p10: float
-    p11: float
+    p00: float = checked("in [0, 1]")
+    p01: float = checked("in [0, 1]")
+    p10: float = checked("in [0, 1]")
+    p11: float = checked("in [0, 1]")
 
     def __post_init__(self):
-        check_fields(self, tuple((name, float, "in [0, 1]")
-                                 for name in ("p00", "p01", "p10", "p11")))
+        check_fields(self)
         if self.total > 1.0 + 1e-12:
             raise ParameterError(f"Pmn entries sum to {self.total} > 1")
 
@@ -141,8 +141,8 @@ def _link_law(params: LinkParams, storage_time: float) -> _LinkLaw:
     slot_law = np.array([[probs[k] * math.comb(k, j) * eta ** j * (1.0 - eta) ** (k - j)
                           if j <= k else 0.0 for j in range(MAX_EXCITATION + 1)]
                          for k in range(MAX_EXCITATION + 1)])
-    # per-node probability that none of its photons survives to a detector
-    g = float(slot_law[:, 0].sum())
+    # per node, the probability that none (g) or some (lit) of its photons survive
+    g, lit = float(slot_law[:, 0].sum()), float(slot_law[:, 1:].sum())
     dark_pass = (1.0 - params.dark_count_prob) ** 2
     no_click = g * g * dark_pass
     click = 1.0 - (1.0 - eta) ** (_K[:, None] + _K[None, :]) * dark_pass
@@ -156,7 +156,9 @@ def _link_law(params: LinkParams, storage_time: float) -> _LinkLaw:
                * params.detection_eff),
         leak=params.crosstalk_eps * params.detection_eff,
         window_probs=w / w.sum(),
-        herald_prob=1.0 - no_click ** params.mode_count,
+        # 2N tries: a slot lights up, or the detector paired with it clicks dark
+        herald_prob=multiplexed_success(lit + params.dark_count_prob * (1.0 - lit),
+                                        2 * params.mode_count),
         herald_weights=probs[:, None] * probs[None, :] * click,
     )
 

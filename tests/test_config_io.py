@@ -21,7 +21,8 @@ from dlczsim.config_io import (
     write_csv_atomic,
     write_text_atomic,
 )
-from dlczsim.errors import ConfigError, ParameterError
+from dlczsim.errors import CASTS, RANGES, ConfigError, ParameterError, field_spec
+from dlczsim.link_physics import PmnTable
 
 
 # every key of every section, each set away from its default and to a value
@@ -271,6 +272,31 @@ class TestExperimentConfigValidation:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="storage_times_us"):
                 ExperimentConfig(storage_times_us=(1.0, bad))
+
+
+def undeclared(record) -> set:
+    """Fields of ``record`` not declared with `errors.checked`, or without a
+    known range or cast: they would be neither read from a section nor checked."""
+    return {f.name for f in dataclasses.fields(record)
+            if f.metadata.get("allowed", ()) not in RANGES or f.type not in CASTS}
+
+
+class TestFieldDeclarations:
+    @pytest.mark.parametrize("record", [LinkParams, ChainParams, ExperimentConfig, PmnTable])
+    def test_every_field_is_declared_in_order(self, record):
+        assert undeclared(record) == set()
+        assert ([name for name, *_ in field_spec(record)]
+                == [f.name for f in dataclasses.fields(record)])
+
+    def test_run_config_declares_all_but_its_sections(self):
+        assert undeclared(RunConfig) == {"link", "chain", "experiment"}
+
+    def test_a_field_added_without_a_declaration_is_caught(self):
+        grown = dataclasses.make_dataclass(
+            "Grown", [("extra", "float", dataclasses.field(default=1.0))],
+            bases=(ChainParams,), frozen=True)
+        assert undeclared(grown) == {"extra"}
+        assert "extra" not in [name for name, *_ in field_spec(grown)]
 
 
 class TestNoNumpy:

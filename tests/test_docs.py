@@ -5,9 +5,14 @@ import re
 from pathlib import Path
 
 from dlczsim import cli
-from dlczsim.config_io import _UNITS, LINK_FIELDS
+from dlczsim.config_io import ChainParams, ExperimentConfig, LinkParams, RunConfig
+from dlczsim.errors import field_spec
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+SECTIONS = {"link": LinkParams, "chain": ChainParams, "sim": RunConfig,
+            "experiment": ExperimentConfig}
 
 
 def test_readme_names_every_module_link_key_and_exit_code():
@@ -17,9 +22,10 @@ def test_readme_names_every_module_link_key_and_exit_code():
     layout = set(re.findall(r"^\| `dlczsim\.(\w+)`", readme, re.M))
     assert layout == modules, "the README layout table must name every module"
 
-    link_keys = re.search(r"The `\[link\]` keys are (.*?), and each one", readme, re.S)
-    assert re.findall(r"`(\w+)`", link_keys.group(1)) == [
-        name + _UNITS.get(name, "") for name, _, _ in LINK_FIELDS]
+    keys = {section: re.findall(r"`(\w+)`", listed)
+            for section, listed in re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", readme, re.M)}
+    assert keys == {section: [name + unit for name, _, _, unit in field_spec(record)]
+                    for section, record in SECTIONS.items()}
 
     exit_codes = re.search(r"^Exit codes: (.*?)\n\n", readme, re.S | re.M)
     constants = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}

@@ -1,8 +1,9 @@
 """Every declared input moves a result.
 
-A field of a `*_FIELDS` spec is a settable config key, so each one must
-reach some number the program reports. Each test moves one field of a shipped
-config to another in-range value and asserts that a closed form changes.
+A checked field of a record (declared with `errors.checked`) is a settable
+config key, so each one must reach some number the program reports. Each test
+moves one field of a shipped config to another in-range value and asserts that
+a closed form changes.
 """
 
 import dataclasses
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from dlczsim.config_io import CHAIN_FIELDS, LINK_FIELDS, parse_config
+from dlczsim.config_io import ChainParams, LinkParams, parse_config
+from dlczsim.errors import field_spec
 from dlczsim.link_physics import (
     expected_herald_probability,
     expected_pmn,
@@ -37,11 +39,11 @@ def link_results(params):
             fringe_visibility(params, 1e-6))
 
 
-@pytest.mark.parametrize("name", [name for name, _, _ in LINK_FIELDS])
+@pytest.mark.parametrize("name", [name for name, *_ in field_spec(LinkParams)])
 def test_every_link_field_moves_a_closed_form(name):
     assert link_results(moved(CALIBRATED_LINK, name)) != link_results(CALIBRATED_LINK)
 
 
-@pytest.mark.parametrize("name", [name for name, _, _ in CHAIN_FIELDS])
+@pytest.mark.parametrize("name", [name for name, *_ in field_spec(ChainParams)])
 def test_every_chain_field_moves_the_rate(name):
     assert swap_chain(moved(PROJECTION, name)).rate_hz != swap_chain(PROJECTION).rate_hz

@@ -1,10 +1,13 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlczsim.config_io import LinkParams
 from dlczsim.errors import ParameterError
@@ -97,6 +100,20 @@ class TestLinkLaw:
         assert law.window_probs == pytest.approx(
             no_click ** np.arange(n) * (1.0 - no_click) / (1.0 - no_click ** n), rel=1e-9)
         assert law.manifold().sum() == pytest.approx(1.0, abs=1e-15)
+
+    @given(chi=st.just(0.0) | st.floats(1e-12, 0.1), eta_td=st.just(0.0) | st.floats(1e-6, 1.0),
+           dark=st.sampled_from([0.0, 1.0]) | st.floats(1e-12, 1.0),
+           n=st.integers(1, 1000))
+    @settings(max_examples=200, deadline=None)
+    def test_herald_probability_matches_exact_fractions(self, chi, eta_td, dark, n):
+        # oracle: the same law on the same float inputs in exact rational
+        # arithmetic; a train is dark when each of its N windows has both
+        # slots unlit and no dark count on either detector
+        params = LinkParams(chi=chi, mode_count=n, eta_td=eta_td, dark_count_prob=dark)
+        c, eta, d = Fraction(chi), Fraction(eta_td), Fraction(dark)
+        unlit = sum((1 - c) * c ** k / (1 - c ** 3) * (1 - eta) ** k for k in range(3))
+        exact = float(1 - (unlit * (1 - d)) ** (2 * n))
+        assert math.isclose(expected_herald_probability(params), exact, rel_tol=1e-12)
 
     def test_link_that_can_never_herald_builds_and_reads_zero(self):
         # chi = 0 and no dark counts: the record builds (so the sampler can

@@ -10,8 +10,8 @@ falls on both alike. For each workload it prints the median rep wall of each
 side, the paired ratio (median of change/base over the rounds) with a 95%
 bootstrap interval, and in how many rounds the change was faster. It also
 checks that both sides exit 0 and, in every round (each runs its own seed),
-outside the timed region, that they write the same result bytes; a
-difference names the round and the file.
+outside the timed region, that they write the same result bytes and print
+the same stdout; a difference names the round and the file, or stdout.
 
     python tools/inprocess_ab.py --workload rate_sweep --rounds 300
     python tools/inprocess_ab.py --base HEAD~1 --workload chain_projection
@@ -54,17 +54,18 @@ def export_package(rev: str, name: str, into: Path) -> None:
     (into / "src" / "dlczsim").rename(into / name)
 
 
-def time_rep(main, argvs) -> float:
-    """Summed wall time of ``main`` over the rep's commands; each must exit 0."""
-    wall = 0.0
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def time_rep(main, argvs) -> tuple[float, str]:
+    """Summed wall time of ``main`` over the rep's commands, and what they
+    printed on stdout; each must exit 0."""
+    wall, stdout = 0.0, io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         for argv in argvs:
             start = time.perf_counter()
             code = main(argv)
             wall += time.perf_counter() - start
             if code != 0:
                 raise SystemExit(f"error: {' '.join(argv)} exited {code}")
-    return wall
+    return wall, stdout.getvalue()
 
 
 def result_bytes(out: Path) -> dict[str, bytes]:
@@ -94,11 +95,13 @@ def compare(spec, mains: dict, rounds: int, seed: int, work: Path) -> dict:
         order = list(mains) if k % 2 == 0 else list(mains)[::-1]
         timed = {side: time_rep(mains[side], spec.argvs(ini, outs[side])) for side in order}
         differs = first_difference(result_bytes(outs["base"]), result_bytes(outs["change"]))
+        if differs is None and timed["base"][1] != timed["change"][1]:
+            differs = "stdout"
         if differs:
             raise SystemExit(f"error: {spec.name}: round {k} (program seed "
                              f"{program_seed(seed, k)}): the two sides wrote different {differs}")
         if k >= WARMUP:
-            for side, wall in timed.items():
+            for side, (wall, _) in timed.items():
                 walls[side].append(wall)
     ratios = [c / b for b, c in zip(walls["base"], walls["change"])]
     return {
