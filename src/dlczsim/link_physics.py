@@ -25,7 +25,8 @@ train's herald is its earliest clicking window. Only heralded trains draw their
 unlit slots: k at the herald window from its law given no survivor, and the
 other excited unlit slots as one binomial count, exact since slots are
 independent. Every tally thus has the law of i.i.d. slots and windows, which
-the closed forms below state exactly.
+the closed forms below state exactly to rounding: they add and multiply
+non-negative factors, use log1p and expm1 near 1, and cancel at most one bit.
 The sampler and every closed form read one record of the link's exact law at
 one storage time, `_LinkLaw`, which only `_link_law(params, storage_time)`
 builds; nothing else computes the slot, retrieval, leak or herald laws.
@@ -381,16 +382,11 @@ def run_link_trials(params: LinkParams, storage_time: float, trains: int,
 # ---------------------------------------------------------------------------
 
 def expected_window_detection(params: LinkParams) -> float:
-    """Exact per-window sum of the two Stokes detectors' click probabilities.
-
-    The per-train multiplexed detection probability is mode_count times this
-    value: counting clicks per window is linear in N by construction.
-    """
-    probs = occupation_probs(params)
-    # a photon misses a given detector if it is lost or exits the other port
-    h = float((probs * (1.0 - params.eta_td / 2.0) ** _K).sum())
-    p_one = 1.0 - (1.0 - params.dark_count_prob) * h * h
-    return 2.0 * p_one
+    """Exact per-window sum of the two Stokes detectors' click probabilities,
+    where each node sends a given detector a photon with probability c. The
+    per-train multiplexed detection probability is mode_count times it."""
+    c = float((_link_law(params, 0.0).slot_law[:, 1:] * (1.0 - 0.5 ** _K[1:])).sum())
+    return 2.0 * (c * (2.0 - c) + params.dark_count_prob * (1.0 - c) ** 2)
 
 
 def expected_herald_probability(params: LinkParams) -> float:
@@ -399,40 +395,41 @@ def expected_herald_probability(params: LinkParams) -> float:
     return _link_law(params, 0.0).herald_prob
 
 
-def _background_factors(law: _LinkLaw, scale: float):
-    """E over the heralded window of prod(1 - q_slot * scale) across other slots.
+def _leak_laws(law: _LinkLaw) -> np.ndarray:
+    """(N, 4) click law of the train's other excited slots, by herald window i:
+    P(click at aS_R, click at aS_L) in cells 2*m + n, as in `LinkTally`.
 
-    ``scale`` is the per-excited-slot probability of a background click on one
-    side (eps*eta_D/2) or on either side (eps*eta_D). Slots in windows before
-    the herald are biased toward vacancy by the observed absence of clicks.
-    """
+    2i slots are excited with q_pre and 2(N-1-i) with q_post, and each flags
+    aS_R or aS_L with y = q*leak/2 <= 1/3. With A = (1-y)^n and B = (1-2y)^n
+    over both groups, the cells are B, A - B twice, and (1-A)^2 - (A^2 - B),
+    whose first term is at most twice it; log A, log B, log(B/A) and
+    log(B/A^2) are sums of n*log1p terms."""
     i = np.arange(law.params.mode_count)
-    pre = (1.0 - law.q_pre * scale) ** (2 * i)
-    post = (1.0 - law.q_post * scale) ** (2 * (i.size - 1 - i))
-    return float((law.window_probs * pre * post).sum())
+    y = np.array([law.q_pre, law.q_post]) * law.leak / 2.0
+    r = y / (1.0 - y)
+    log_a, log_b, log_ba, log_baa = (np.stack([2 * i, 2 * i[::-1]], axis=1)
+                                     @ np.log1p(-np.stack([y, 2.0 * y, r, r * r], axis=1))).T
+    one = np.exp(log_a) * -np.expm1(log_ba)
+    both = np.expm1(log_a) ** 2 - np.exp(2.0 * log_a) * -np.expm1(log_baa)
+    return np.stack([np.exp(log_b), one, one, both], axis=1)
 
 
 def expected_pmn(params: LinkParams, storage_time: float) -> PmnTable:
-    """Closed-form PmnTable for the sampling model of `run_link_trials`."""
+    """Closed-form PmnTable for the sampling model of `run_link_trials`: the
+    click law of the heralded window's own spin waves (each detected with
+    p_ret) and each field's dark count, and of the other slots' leaks."""
     law = _link_law(params, storage_time)
-    p_ret, w = law.p_ret, law.manifold()
-    dark_pass = 1.0 - params.dark_count_prob
-
-    a, b = _K[:, None], _K[None, :]
-    sig_m0 = float((w * (1.0 - p_ret) ** b).sum())       # no signal click at aS_R
-    sig_n0 = float((w * (1.0 - p_ret) ** a).sum())
-    sig_00 = float((w * (1.0 - p_ret) ** (a + b)).sum())
-
-    bg_one = _background_factors(law, law.leak / 2.0)
-    bg_both = _background_factors(law, law.leak)
-
-    pm0 = sig_m0 * bg_one * dark_pass
-    pn0 = sig_n0 * bg_one * dark_pass
-    p00 = sig_00 * bg_both * dark_pass ** 2
-    p01 = pm0 - p00
-    p10 = pn0 - p00
-    p11 = 1.0 - p00 - p01 - p10
-    return PmnTable(p00, p01, p10, p11)
+    p, d = law.p_ret, params.dark_count_prob
+    # given k spin waves, a field stays dark with (1-p)^k (1-d); else a spin
+    # wave clicks it, p * sum_{i<k} (1-p)^i, or only its dark count, (1-p)^k d
+    miss = [(1.0 - p) ** k for k in _K]
+    side = np.array([[q * (1.0 - d), p * sum(miss[:k]) + q * d] for k, q in enumerate(miss)])
+    own = side.T @ law.manifold().T @ side   # k_L (rows) feeds aS_L
+    # the leaks are independent of it: cell k sums own[i] * leaks[j] over i | j == k
+    cell = np.arange(4)
+    cells = np.bincount((cell[:, None] | cell).ravel(),
+                        np.outer(own, law.window_probs @ _leak_laws(law)).ravel(), minlength=4)
+    return PmnTable(*(cells / cells.sum()))
 
 
 def fringe_visibility(params: LinkParams, storage_time: float) -> tuple[float, float]:

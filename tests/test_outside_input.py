@@ -4,11 +4,12 @@ Each example substitutes one drawn float (NaN, +-inf, huge and negative
 values included) into every key of one section in turn. `[chain]` keys run
 the `rate` command, which must exit 0, 2 or 3 with nothing else escaping and,
 on exit 0, print a finite rate.
-`[link]`, `[sim]` and `[experiment]` keys are parsed and fed to the closed
-forms, which must raise ConfigError/ParameterError or return finite values,
-and to `simulate_chain` with its first round stubbed out, which must raise
-ParameterError or reach that round: every limit of the Monte Carlo is
-checked, and nothing is drawn.
+`[link]`, `[sim]` and `[experiment]` keys are parsed, which may reject them
+with ConfigError/ParameterError, and fed to `simulate_chain` with its first
+round stubbed out, which must raise ParameterError or reach that round: every
+limit of the Monte Carlo is checked, and nothing is drawn. An accepted
+config's closed forms must return finite values; only a link whose herald
+weights are zero has no Pmn.
 `simulate` and `link-experiment` are not run on drawn values: a swap that
 almost never succeeds under a huge finite time guard lets each trial draw up
 to a round's `chain_sim.MAX_ROUND_LINKS` links, so a run of many trials takes
@@ -29,7 +30,7 @@ from dlczsim import chain_sim, cli
 from dlczsim.chain_sim import simulate_chain
 from dlczsim.config_io import parse_config_text
 from dlczsim.errors import ConfigError, ParameterError
-from dlczsim.link_physics import expected_herald_probability, expected_pmn
+from dlczsim.link_physics import _link_law, expected_herald_probability, expected_pmn
 
 BASE = {
     "link": {
@@ -110,14 +111,20 @@ def test_any_float_in_any_key_is_rejected_or_gives_finite_values(section, value)
     for key in BASE[section]:
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")   # the multi-excitation warning
+                warnings.simplefilter("ignore", UserWarning)   # the multi-excitation warning
                 config = parse_config_text(config_text(section, key, value))
-                with mock.patch.object(chain_sim, "_round", first_round), \
-                        pytest.raises(FirstRound):
-                    simulate_chain(config)
-                herald = expected_herald_probability(config.link)
-                pmn = expected_pmn(config.link, config.experiment.storage_times[0])
+            with mock.patch.object(chain_sim, "_round", first_round), pytest.raises(FirstRound):
+                simulate_chain(config)
         except (ConfigError, ParameterError):
+            continue
+        # an accepted config's closed forms raise only the documented error of a
+        # link whose heralded window has no law: its herald weights are all zero
+        herald = expected_herald_probability(config.link)
+        storage_time = config.experiment.storage_times[0]
+        try:
+            pmn = expected_pmn(config.link, storage_time)
+        except ParameterError:
+            assert _link_law(config.link, storage_time).herald_weights.sum() == 0.0, (key, value)
             continue
         values = (config.trials, config.seed, config.max_sim_time, herald, *pmn.as_tuple())
         assert all(math.isfinite(v) for v in values), (key, value, values)
