@@ -7,7 +7,8 @@ major.minor version, since numpy may change its distribution algorithms
 between releases; on a version with no digests those cases skip and name both
 versions. `rate` and `sweep` read only `config_io` and `rate`, which import no
 numpy, so their digests sit under the key "any" and are checked on every
-numpy. Manifests are left out: they hold time stamps and paths.
+numpy. Each manifest is hashed after `mask_manifest` takes out what differs
+between two runs of the same case: its time stamps and paths.
 
 A change that moves the draws or a result layout on purpose regenerates the
 digests with `python tools/golden.py`, which prints every file that moved.
@@ -19,6 +20,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -55,17 +58,29 @@ def golden_key(name: str) -> str:
     return "any" if name in NUMPY_FREE else numpy_version()
 
 
+def mask_manifest(text: str, out: Path) -> str:
+    """The text of a manifest written under ``out``, with the values of
+    `created_unix` and `duration_s`, the out-dir prefix of each output and the
+    checkout's root (a `fit` records its CSV's path) masked."""
+    text = re.sub(r'("(?:created_unix|duration_s)": )[^,\n]*', r"\1<masked>", text)
+    for path, token in ((out, "<out>"), (ROOT, "<root>")):
+        text = text.replace(json.dumps(f"{path}{os.sep}")[1:-1], f"{token}/")
+    return text
+
+
 def run_case(name: str, out: Path) -> dict[str, str]:
-    """sha256 of case ``name``'s stdout and of each result file it writes
-    under ``out``, keyed ``<case>/<file>``."""
+    """sha256 of case ``name``'s stdout, of each result file it writes under
+    ``out`` and of its masked manifest, keyed ``<case>/<file>``."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main([*CASES[name], "--out-dir", str(out)])
     assert code == cli.EXIT_OK, f"{name} exited {code}"
     digests = {f"{name}/stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
     for path in sorted(out.iterdir()):
-        if path.name != "manifest.json":
-            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            data = mask_manifest(data.decode(), out).encode()
+        digests[f"{name}/{path.name}"] = hashlib.sha256(data).hexdigest()
     return digests
 
 

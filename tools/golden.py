@@ -3,7 +3,8 @@
 Runs every case of the golden test and writes its digests into
 `tests/golden.json` under the case's key: numpy's major.minor version for a
 case that draws or fits (the digests of other versions are kept), "any" for
-the numpy-free `rate` and `sweep` cases. Prints each file whose digest moved,
+the numpy-free `rate` and `sweep` cases. A manifest is hashed after the
+golden test's `mask_manifest`. Prints each file whose digest moved,
 appeared or went away. A change that keeps every draw and layout leaves the
 file as it was.
 
