@@ -1,6 +1,9 @@
 import ast
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,12 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dlczsim import chain_sim, cli, experiments, fitters
-from dlczsim.config_io import format_cell, parse_config
+from dlczsim.config_io import ChainParams, format_cell, parse_config
+from dlczsim.errors import ParameterError, StalledChainError, field_spec
 from dlczsim.fitters import FitResult
+from dlczsim.rate import swap_chain
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -631,6 +636,32 @@ class TestManifest:
         assert not (out / "manifest.json").exists()
 
 
+PROJECTION_CHAIN = parse_config(CONFIGS / "projection.ini").chain
+# a link this short gives a subnormal T_cc part-way up a fiber_speed grid,
+# where the recursion's rate overflows before a later point's T_cc is 0
+TINY_LINK_CHAIN = dataclasses.replace(PROJECTION_CHAIN, l0=1e-300)
+SWEEP_EDGES = [0.0, -1.0, 1e-320, 0.5, 1.0, 1.25, 4.0, 10000.0, 20000.0, 2e23, 1e24]
+
+
+def sweep_point_by_point(chain, param, low, high, steps, total) -> tuple[int, str]:
+    """Exit code and stderr of a sweep that builds every grid point through
+    ChainParams before its rate, as the oracle of `cmd_sweep`'s one check."""
+    is_int = dict((name, cast) for name, cast, *_ in field_spec(ChainParams))[param] is int
+    for i in range(steps):
+        value = low + (high - low) * i / (steps - 1)
+        value = int(round(value)) if is_int else value
+        fields = {param: value}
+        if total is not None and value > 0:
+            fields["n_levels"] = max(0, round(math.log2(total) - math.log2(value)))
+        try:
+            swap_chain(dataclasses.replace(chain, **fields))
+        except StalledChainError:
+            pass
+        except ParameterError as exc:
+            return cli.EXIT_DOMAIN, f"error: {exc}\n"
+    return cli.EXIT_OK, ""
+
+
 class TestSweep:
     def test_mode_count_sweep_is_strictly_increasing(self, tmp_path):
         config = write_chain_config(tmp_path)
@@ -718,6 +749,53 @@ class TestSweep:
                     "--out-dir", out]) == 3
         assert capsys.readouterr().err == f"error: l0 must be finite and > 0, got {low:.1f}\n"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("param, low, high, steps, message", [
+        # the first failing point is an interior one, not --max
+        ("chi", 0.5, 1.5, 5, "chi must be finite and in [0, 1], got 1.25"),
+        ("mode_count", 0, 5, 6, "mode_count must be finite and >= 1, got 0"),
+        ("n_levels", 0, 20000, 3, "n_levels must be finite and in [0, 10000], got 20000"),
+        ("fiber_speed", "1e-320", 1, 3,
+         "T_cc = l0/fiber_speed = inf s is not a positive finite time"),
+    ], ids=["chi-interior", "mode_count-first", "n_levels-last", "t_cc-first"])
+    def test_first_failing_point_words_the_error(self, tmp_path, capsys, param, low, high,
+                                                 steps, message):
+        out = tmp_path / "out"
+        assert run(["sweep", "--config", CONFIGS / "projection.ini", "--param", param,
+                    "--min", low, "--max", high, "--steps", steps, "--out-dir", out]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @given(param=st.sampled_from([name for name, *_ in field_spec(ChainParams)]),
+           ends=st.lists(st.one_of(st.sampled_from(SWEEP_EDGES), st.floats(-2.0, 2.0),
+                                   st.floats(1e-12, 1e12)),
+                         min_size=2, max_size=2, unique=True).map(sorted),
+           steps=st.integers(2, 9), total=st.sampled_from([None, 1008.0, 1e300]),
+           chain=st.sampled_from([PROJECTION_CHAIN, TINY_LINK_CHAIN]))
+    @example(param="fiber_speed", ends=[1e20, 1e24], steps=2, total=None,
+             chain=TINY_LINK_CHAIN)        # the rate overflows at --min, T_cc is 0 at --max
+    @settings(max_examples=150, deadline=None)
+    def test_outcome_is_that_of_checking_every_point(self, tmp_path_factory, param, ends,
+                                                     steps, total, chain):
+        if total is not None:
+            param = "l0"
+        low, high = ends
+        expected = sweep_point_by_point(chain, param, low, high, steps, total)
+        path = tmp_path_factory.mktemp("sweep") / "chain.ini"
+        path.write_text("[chain]\n" + "".join(
+            f"{name}{unit} = {getattr(chain, name)!r}\n"
+            for name, _, _, unit in field_spec(ChainParams)))
+        argv = ["sweep", "--config", path, "--param", param, f"--min={low!r}",
+                f"--max={high!r}", "--steps", steps]
+        if total is not None:
+            argv += ["--fixed-total-km", total]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(argv)
+        assert (code, stderr.getvalue()) == expected
+        if code == 0:
+            assert len(stdout.getvalue().splitlines()) == steps + 1
 
 
 class TestArgumentTypes:

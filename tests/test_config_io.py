@@ -1,12 +1,15 @@
 import ast
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlczsim import config_io
 from dlczsim.config_io import (
@@ -195,6 +198,41 @@ class TestParseErrors:
         assert len(config.experiment.storage_times_us) == 1000
 
 
+def two_pass_json(obj) -> str:
+    """The oracle of `canonical_json`: round every float to 9 significant
+    digits in a copy, then encode the copy with `json.dumps`."""
+    def rounded(value):
+        if isinstance(value, float):
+            return float(format(value, ".9g"))
+        if isinstance(value, dict):
+            return {k: rounded(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [rounded(v) for v in value]
+        return value
+    return json.dumps(rounded(obj), sort_keys=True, indent=2) + "\n"
+
+
+# floats where the rounding or repr's notation changes: signed zeros, the
+# subnormals, the largest float, around 1e16 and 1e-5 (repr's switches to
+# exponent notation) and around the 9th significant digit
+EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, 1e16, -1e16, 9.999999995e15, 9.9999999949e15, 1e16 + 2.0,
+    1.23456789e16, 1e17, 1e-5, -1e-5, 9.999999995e-6, 9.9999999949e-6, 1.00000001e-5,
+    1e-4, 9.9999999951e-5, 0.1, 1.0, 123456789.0, 1234567890.0, 999999999.5,
+    math.inf, -math.inf, math.nan])
+FLOATS = st.one_of(EDGE_FLOATS, st.floats(), st.floats(1e-7, 1e-3), st.floats(1e14, 1e18),
+                   st.floats(-1e-300, 1e-300))
+TEXTS = st.one_of(st.text(), st.sampled_from(['"', "\\", "\x00", "\x1f\n\t", "\u00e9",
+                                              "\U0001f600", "\u2028", "\ud800", ""]))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXTS),
+    lambda children: st.one_of(st.lists(children, max_size=5),
+                               st.lists(children, max_size=5).map(tuple),
+                               st.dictionaries(TEXTS, children, max_size=5)),
+    max_leaves=25)
+
+
 class TestResultFormatting:
     def test_format_float_is_nine_significant_digits(self):
         assert format_float(0.0942055321987654) == "0.0942055322"
@@ -205,6 +243,17 @@ class TestResultFormatting:
         data = json.loads(text)
         assert list(data.keys()) == ["a", "b"]
         assert data["b"] == 0.123456789
+
+    @given(obj=JSON_VALUES)
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_json_matches_the_two_pass_encoder(self, obj):
+        assert canonical_json(obj) == two_pass_json(obj)
+
+    def test_canonical_json_edge_tokens(self):
+        assert canonical_json({"e": [[], {}, ()], "z": (-0.0, math.inf, -math.inf, math.nan)}) == (
+            '{\n  "e": [\n    [],\n    {},\n    []\n  ],\n'
+            '  "z": [\n    -0.0,\n    Infinity,\n    -Infinity,\n    NaN\n  ]\n}\n')
+        assert canonical_json("\u00e9\"\x01") == '"\\u00e9\\"\\u0001"\n'
 
     def test_csv_writer_header_rows_trailers(self, tmp_path):
         path = tmp_path / "out.csv"
