@@ -146,15 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_as_dict(config) -> dict:
-    """The resolved parameter set, as the manifest records it."""
-    out: dict = {"trials": config.trials, "seed": config.seed,
-                 "max_sim_time_s": config.max_sim_time}
-    if config.link is not None:
-        out["link"] = dataclasses.asdict(config.link)
-    if config.chain is not None:
-        out["chain"] = dataclasses.asdict(config.chain)
-    out["experiment"] = dataclasses.asdict(config.experiment)
-    return out
+    """The resolved parameter set, as the manifest records it: each record's fields."""
+    records = {name: vars(getattr(config, name)) for name in ("link", "chain", "experiment")
+               if getattr(config, name) is not None}
+    return {"trials": config.trials, "seed": config.seed,
+            "max_sim_time_s": config.max_sim_time, **records}
 
 
 def _load_config(args, section: str):
@@ -364,6 +360,13 @@ def cmd_fit(args) -> int:
     return run.finish({"csv": str(args.csv), "model": args.model}, 0, code)
 
 
+def _unchecked(cls, values: dict):
+    """A ``cls`` record holding ``values``, built without its checks."""
+    record = object.__new__(cls)
+    vars(record).update(values)
+    return record
+
+
 def _monotonicity(values) -> str:
     increasing = all(b >= a for a, b in zip(values, values[1:]))
     decreasing = all(b <= a for a, b in zip(values, values[1:]))
@@ -392,29 +395,39 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--fixed-total-km only applies to --param l0")
 
     is_int = casts[args.param] is int
-    grid = []
+    points = []
     for i in range(args.steps):
         value = args.min + (args.max - args.min) * i / (args.steps - 1)
-        grid.append(int(round(value)) if is_int else value)
-
-    rows = []
-    for value in grid:
-        fields = {args.param: value}
+        fields = {args.param: int(round(value)) if is_int else value}
         if args.fixed_total_km is not None and value > 0:
             # keep 2^n * l0 as close to the requested span as integer n allows (a
             # difference of logs stays finite where the ratio would overflow);
             # ChainParams names a non-positive l0
             fields["n_levels"] = max(0, round(math.log2(args.fixed_total_km) - math.log2(value)))
-        chain = dataclasses.replace(config.chain, **fields)
-        try:
-            rate = swap_chain(chain).rate_hz
-        except StalledChainError:
-            rate = 0.0
-        rows.append((value, rate))
-    diagnostic = _monotonicity([rate for _, rate in rows])
+        points.append(fields)
 
-    for value, rate in rows:
-        print(f"{args.param} {format_float(float(value))}  rate_hz {format_float(rate)}")
+    # The grid, the n_levels and T_cc it derives are monotone and every field's
+    # range is an interval: if both ends pass ChainParams, every point does.
+    # Else each is checked before its rate, and the first to fail words the error.
+    try:
+        for fields in (points[0], points[-1]):
+            dataclasses.replace(config.chain, **fields)
+        chains = (_unchecked(ChainParams, {**vars(config.chain), **fields}) for fields in points)
+    except ParameterError:
+        chains = (dataclasses.replace(config.chain, **fields) for fields in points)
+    rates = []
+    for chain in chains:
+        try:
+            rates.append(swap_chain(chain).rate_hz)
+        except StalledChainError:
+            rates.append(0.0)
+    diagnostic = _monotonicity(rates)
+
+    # each value is formatted once; stdout writes an integer as a float
+    rows = [(format_cell(fields[args.param]), format_float(rate))
+            for fields, rate in zip(points, rates)]
+    print("".join(f"{args.param} {format_float(float(fields[args.param])) if is_int else cell}"
+                  f"  rate_hz {rate}\n" for fields, (cell, rate) in zip(points, rows)), end="")
     print(f"# monotonicity: {diagnostic}")
     run.emit("sweep.csv", write_csv_atomic, (args.param, "rate_hz"), rows,
              trailer_comments=(f"monotonicity: {diagnostic}",))

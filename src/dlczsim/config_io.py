@@ -4,7 +4,9 @@ A record's checked fields (`errors.checked`) are also its INI section: each
 key is a field plus its unit suffix (l0_km, tau0_s, ...), so a value can never
 be mis-read in the wrong unit. No numpy is imported, so a config is read and
 checked without loading a kernel. Result files are written atomically (temp file + rename)
-with every float at 9 significant digits, which makes reruns byte-comparable.
+with every float at 9 significant digits, which makes reruns byte-comparable;
+`canonical_json` writes the bytes of ``json.dumps(sort_keys=True, indent=2)``
+in one pass that rounds each float as it writes it.
 """
 
 from __future__ import annotations
@@ -231,19 +233,42 @@ def format_float(value: float) -> str:
     return format(float(value), ".9g")
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(format_float(obj))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+_encode_str = json.encoder.encode_basestring_ascii
+_SPECIAL = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _encode(obj, parts: list, newline: str) -> None:
+    """Append ``obj``'s JSON to ``parts``, each line after its first opening with
+    ``newline``; a dict, list or tuple puts each item on a line of its own."""
+    if isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif obj is None or obj is True or obj is False:
+        parts.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = repr(float(format_float(obj)))
+        parts.append(_SPECIAL.get(text, text))
+    elif isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        opening, closing = "{}" if is_dict else "[]"
+        sep, inner = opening, newline + "  "
+        for key, value in (((_encode_str(k) + ": ", v) for k, v in sorted(obj.items()))
+                           if is_dict else (("", v) for v in obj)):
+            parts.append(sep + inner + key)
+            _encode(value, parts, inner)
+            sep = ","
+        parts.append(opening + closing if sep == opening else newline + closing)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    """JSON with sorted keys and floats rounded to 9 significant digits."""
-    return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, with each
+    float rounded to 9 significant digits as it is written: one pass, no copy."""
+    parts: list = []
+    _encode(obj, parts, "\n")
+    return "".join(parts) + "\n"
 
 
 def write_text_atomic(path, text: str) -> None:

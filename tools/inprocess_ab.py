@@ -10,8 +10,10 @@ falls on both alike. For each workload it prints the median rep wall of each
 side, the paired ratio (median of change/base over the rounds) with a 95%
 bootstrap interval, and in how many rounds the change was faster. It also
 checks that both sides exit 0 and, in every round (each runs its own seed),
-outside the timed region, that they write the same result bytes and print
-the same stdout; a difference names the round and the file, or stdout.
+outside the timed region, that they write the same result bytes, print the
+same stdout and, after each command, write the same manifest once
+`tests/test_golden.py`'s `mask_manifest` has taken out its time stamps and
+paths; a difference names the round and the file, stdout or the manifest.
 
     python tools/inprocess_ab.py --workload rate_sweep --rounds 300
     python tools/inprocess_ab.py --base HEAD~1 --workload chain_projection
@@ -38,8 +40,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+from test_golden import mask_manifest  # noqa: E402
 from workloads import WORKLOADS, program_seed  # noqa: E402
 
 WARMUP = 3
@@ -54,10 +57,10 @@ def export_package(rev: str, name: str, into: Path) -> None:
     (into / "src" / "dlczsim").rename(into / name)
 
 
-def time_rep(main, argvs) -> tuple[float, str]:
-    """Summed wall time of ``main`` over the rep's commands, and what they
-    printed on stdout; each must exit 0."""
-    wall, stdout = 0.0, io.StringIO()
+def time_rep(main, argvs, out: Path) -> tuple[float, str, list[str]]:
+    """Summed wall time of ``main`` over the rep's commands, what they printed
+    on stdout, and the masked manifest each left in ``out``; each must exit 0."""
+    wall, stdout, manifests = 0.0, io.StringIO(), []
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         for argv in argvs:
             start = time.perf_counter()
@@ -65,7 +68,8 @@ def time_rep(main, argvs) -> tuple[float, str]:
             wall += time.perf_counter() - start
             if code != 0:
                 raise SystemExit(f"error: {' '.join(argv)} exited {code}")
-    return wall, stdout.getvalue()
+            manifests.append(mask_manifest((out / "manifest.json").read_text(), out))
+    return wall, stdout.getvalue(), manifests
 
 
 def result_bytes(out: Path) -> dict[str, bytes]:
@@ -93,15 +97,18 @@ def compare(spec, mains: dict, rounds: int, seed: int, work: Path) -> dict:
         ini = spec.write_ini(ROOT, work / "inputs" / f"rep{k}.ini", program_seed(seed, k))
         outs = {side: work / side for side in mains}
         order = list(mains) if k % 2 == 0 else list(mains)[::-1]
-        timed = {side: time_rep(mains[side], spec.argvs(ini, outs[side])) for side in order}
+        timed = {side: time_rep(mains[side], spec.argvs(ini, outs[side]), outs[side])
+                 for side in order}
         differs = first_difference(result_bytes(outs["base"]), result_bytes(outs["change"]))
         if differs is None and timed["base"][1] != timed["change"][1]:
             differs = "stdout"
+        if differs is None and timed["base"][2] != timed["change"][2]:
+            differs = "manifest.json"
         if differs:
             raise SystemExit(f"error: {spec.name}: round {k} (program seed "
                              f"{program_seed(seed, k)}): the two sides wrote different {differs}")
         if k >= WARMUP:
-            for side, (wall, _) in timed.items():
+            for side, (wall, *_) in timed.items():
                 walls[side].append(wall)
     ratios = [c / b for b, c in zip(walls["base"], walls["change"])]
     return {
