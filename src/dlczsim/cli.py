@@ -398,6 +398,8 @@ def cmd_sweep(args) -> int:
     points = []
     for i in range(args.steps):
         value = args.min + (args.max - args.min) * i / (args.steps - 1)
+        if not math.isfinite(value):
+            raise ParameterError("the grid from --min to --max overflows a float: narrow it")
         fields = {args.param: int(round(value)) if is_int else value}
         if args.fixed_total_km is not None and value > 0:
             # keep 2^n * l0 as close to the requested span as integer n allows (a

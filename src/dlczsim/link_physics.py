@@ -24,12 +24,13 @@ clicks, when enabled, are drawn the same way per detector over the windows. A
 train's herald is its earliest clicking window. Only heralded trains draw their
 unlit slots: k at the herald window from its law given no survivor, and the
 other excited unlit slots as one binomial count, exact since slots are
-independent. Every tally thus has the law of i.i.d. slots and windows, which
-the closed forms below state exactly to rounding: they add and multiply
-non-negative factors, use log1p and expm1 near 1, and cancel at most one bit.
-The sampler and every closed form read one record of the link's exact law at
-one storage time, `_LinkLaw`, which only `_link_law(params, storage_time)`
-builds; nothing else computes the slot, retrieval, leak or herald laws.
+independent. Every tally thus has the law of i.i.d. slots and windows. The
+sampler and every closed form read one record of that law at one storage time,
+`_LinkLaw`, built only by `_link_law(params, storage_time)`, where each part is
+written once: the thermal slot law, the retrieval and leak probabilities, the
+window's Stokes click law and the herald law. The closed forms state it exactly
+to rounding: they add and multiply non-negative factors, use log1p and expm1
+near 1, and cancel at most one bit; every link that heralds has a herald law.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "PmnTable",
     "LinkTally",
     "run_link_trials",
-    "occupation_probs",
     "expected_window_detection",
     "expected_herald_probability",
     "expected_pmn",
@@ -58,17 +58,7 @@ __all__ = [
 # Fock truncation of the per-mode thermal law. Truncation error is O(chi^3),
 # negligible at the ~1% excitation probabilities this model targets.
 MAX_EXCITATION = 2
-_K = np.arange(MAX_EXCITATION + 1)   # the occupations a mode can hold
-
-
-def occupation_probs(params: LinkParams) -> np.ndarray:
-    """P(k) for k = 0..2: thermal law chi^k, truncated and renormalized.
-
-    Renormalizing by (1 - chi^3) keeps the defining ratio
-    P(k+1)/P(k) = chi exact inside the truncated support.
-    """
-    weights = np.array([params.chi ** k for k in range(MAX_EXCITATION + 1)])
-    return (1.0 - params.chi) * weights / (1.0 - params.chi ** (MAX_EXCITATION + 1))
+_K = range(MAX_EXCITATION + 1)   # the occupations a mode can hold
 
 
 @dataclass(frozen=True)
@@ -119,18 +109,31 @@ class _LinkLaw:
     q_post: float              # P(slot excited), unconditioned
     p_ret: float               # P(spin wave -> detected anti-Stokes photon) after storage
     leak: float                # P(an excited non-addressed slot leaks one detected photon)
+    window_clicks: tuple       # P(0, 1 or 2 Stokes detectors click) in one window
     window_probs: np.ndarray   # (N,) distribution of the heralded window index
     herald_prob: float         # P(any window clicks) per train
-    herald_weights: np.ndarray  # (3, 3) unnormalized law of (k_L, k_R) at a clicking window
+    herald_weights: np.ndarray  # (3, 3) law of (k_L, k_R) at a clicking window, up to a factor
 
     def manifold(self) -> np.ndarray:
         """(3, 3) posterior of (k_L, k_R) at the heralded window."""
         weight = self.herald_weights.sum()
         if weight == 0.0:
-            raise ParameterError(
-                "herald probability is zero (no excitation and no dark counts); "
-                "conditional readout statistics are undefined")
+            raise ParameterError("herald probability is zero (no excitation and no dark "
+                                 "counts); conditional readout statistics are undefined")
         return self.herald_weights / weight
+
+    def other_slots(self) -> np.ndarray:
+        """(N, 2): the 2i other slots before herald window i and the 2(N-1-i) after it."""
+        i = np.arange(self.params.mode_count)
+        return np.stack([2 * i, 2 * i[::-1]], axis=1)
+
+
+def _click_law(p: float, dark: float, tries: int) -> list[tuple[float, float]]:
+    """(P(no click), P(click)) of a detector after k = 0..tries tries that each
+    reach it with probability p, and a dark count with probability ``dark``: (1-p)^k
+    (1-dark), and p sum_{i<k} (1-p)^i + (1-p)^k dark, exact however small p is."""
+    miss = [(1.0 - p) ** k for k in range(tries + 1)]
+    return [(q * (1.0 - dark), p * sum(miss[:k]) + q * dark) for k, q in enumerate(miss)]
 
 
 def _link_law(params: LinkParams, storage_time: float) -> _LinkLaw:
@@ -138,29 +141,35 @@ def _link_law(params: LinkParams, storage_time: float) -> _LinkLaw:
     negative storage time, so a link that can never herald still samples."""
     if storage_time < 0:
         raise ParameterError(f"storage_time must be >= 0, got {storage_time}")
-    probs, eta = occupation_probs(params), params.eta_td
-    slot_law = np.array([[probs[k] * math.comb(k, j) * eta ** j * (1.0 - eta) ** (k - j)
-                          if j <= k else 0.0 for j in range(MAX_EXCITATION + 1)]
-                         for k in range(MAX_EXCITATION + 1)])
-    # per node, the probability that none (g) or some (lit) of its photons survive
-    g, lit = float(slot_law[:, 0].sum()), float(slot_law[:, 1:].sum())
-    dark_pass = (1.0 - params.dark_count_prob) ** 2
-    no_click = g * g * dark_pass
-    click = 1.0 - (1.0 - eta) ** (_K[:, None] + _K[None, :]) * dark_pass
+    chi, eta, d = params.chi, params.eta_td, params.dark_count_prob
+    # P(k): the thermal law chi^k, truncated and renormalized by 1 - chi^3, which
+    # keeps the ratio P(k+1)/P(k) = chi exact inside the truncated support
+    probs = [(1.0 - chi) * chi ** k / (1.0 - chi ** 3) for k in _K]
+    slot = [[probs[k] * math.comb(k, j) * eta ** j * (1.0 - eta) ** (k - j) if j <= k else 0.0
+             for j in _K] for k in _K]
+    # per node: no photon survives (g), all reach a given detector (e), both detectors get one (f)
+    g, lit = slot[0][0] + slot[1][0] + slot[2][0], slot[1][1] + slot[2][1] + slot[2][2]
+    e, f = (slot[1][1] + slot[2][1]) / 2.0 + slot[2][2] / 4.0, slot[2][2] / 2.0
+    hit_none, hit_one, hit_both = g * g, 2.0 * e * (2.0 * g + e), f * (2.0 - f) + 2.0 * e * e
+    no_click = hit_none * (1.0 - d) ** 2
     w = no_click ** np.arange(params.mode_count)
+    # a window clicks from k_L + k_R tries or a dark count; / (eta + dark) keeps rare clicks normal
+    dark = d * (2.0 - d)
+    click = [c / ((eta + dark) or 1.0) for _, c in _click_law(eta, dark, 2 * MAX_EXCITATION)]
     return _LinkLaw(
         params=params,
-        slot_law=slot_law,
+        slot_law=np.array(slot),
         q_pre=1.0 - probs[0] / g,
         q_post=1.0 - probs[0],
         p_ret=(params.retrieval_eff_zero * float(np.exp(-storage_time / params.memory_lifetime))
                * params.detection_eff),
         leak=params.crosstalk_eps * params.detection_eff,
+        window_clicks=(no_click, (hit_one + 2.0 * d * hit_none) * (1.0 - d),
+                       hit_both + d * hit_one + d * d * hit_none),
         window_probs=w / w.sum(),
         # 2N tries: a slot lights up, or the detector paired with it clicks dark
-        herald_prob=multiplexed_success(lit + params.dark_count_prob * (1.0 - lit),
-                                        2 * params.mode_count),
-        herald_weights=probs[:, None] * probs[None, :] * click,
+        herald_prob=multiplexed_success(_click_law(lit, d, 1)[1][1], 2 * params.mode_count),
+        herald_weights=np.array([[probs[a] * probs[b] * click[a + b] for b in _K] for a in _K]),
     )
 
 
@@ -382,16 +391,14 @@ def run_link_trials(params: LinkParams, storage_time: float, trains: int,
 # ---------------------------------------------------------------------------
 
 def expected_window_detection(params: LinkParams) -> float:
-    """Exact per-window sum of the two Stokes detectors' click probabilities,
-    where each node sends a given detector a photon with probability c. The
-    per-train multiplexed detection probability is mode_count times it."""
-    c = float((_link_law(params, 0.0).slot_law[:, 1:] * (1.0 - 0.5 ** _K[1:])).sum())
-    return 2.0 * (c * (2.0 - c) + params.dark_count_prob * (1.0 - c) ** 2)
+    """Exact per-window sum of both Stokes detectors' click probabilities, the
+    mean of the window's click law; a train's detection is mode_count times it."""
+    _, one, both = _link_law(params, 0.0).window_clicks
+    return one + 2.0 * both
 
 
 def expected_herald_probability(params: LinkParams) -> float:
-    """Exact probability that a train produces a herald (>= 1 click window);
-    0 for a link that can never herald."""
+    """Exact P(a train has a clicking window); 0 for a link that can never herald."""
     return _link_law(params, 0.0).herald_prob
 
 
@@ -399,15 +406,14 @@ def _leak_laws(law: _LinkLaw) -> np.ndarray:
     """(N, 4) click law of the train's other excited slots, by herald window i:
     P(click at aS_R, click at aS_L) in cells 2*m + n, as in `LinkTally`.
 
-    2i slots are excited with q_pre and 2(N-1-i) with q_post, and each flags
+    `other_slots` are excited with q_pre and q_post, and each flags
     aS_R or aS_L with y = q*leak/2 <= 1/3. With A = (1-y)^n and B = (1-2y)^n
     over both groups, the cells are B, A - B twice, and (1-A)^2 - (A^2 - B),
     whose first term is at most twice it; log A, log B, log(B/A) and
     log(B/A^2) are sums of n*log1p terms."""
-    i = np.arange(law.params.mode_count)
     y = np.array([law.q_pre, law.q_post]) * law.leak / 2.0
     r = y / (1.0 - y)
-    log_a, log_b, log_ba, log_baa = (np.stack([2 * i, 2 * i[::-1]], axis=1)
+    log_a, log_b, log_ba, log_baa = (law.other_slots()
                                      @ np.log1p(-np.stack([y, 2.0 * y, r, r * r], axis=1))).T
     one = np.exp(log_a) * -np.expm1(log_ba)
     both = np.expm1(log_a) ** 2 - np.exp(2.0 * log_a) * -np.expm1(log_baa)
@@ -419,11 +425,7 @@ def expected_pmn(params: LinkParams, storage_time: float) -> PmnTable:
     click law of the heralded window's own spin waves (each detected with
     p_ret) and each field's dark count, and of the other slots' leaks."""
     law = _link_law(params, storage_time)
-    p, d = law.p_ret, params.dark_count_prob
-    # given k spin waves, a field stays dark with (1-p)^k (1-d); else a spin
-    # wave clicks it, p * sum_{i<k} (1-p)^i, or only its dark count, (1-p)^k d
-    miss = [(1.0 - p) ** k for k in _K]
-    side = np.array([[q * (1.0 - d), p * sum(miss[:k]) + q * d] for k, q in enumerate(miss)])
+    side = np.array(_click_law(law.p_ret, params.dark_count_prob, MAX_EXCITATION))
     own = side.T @ law.manifold().T @ side   # k_L (rows) feeds aS_L
     # the leaks are independent of it: cell k sums own[i] * leaks[j] over i | j == k
     cell = np.arange(4)
@@ -449,14 +451,10 @@ def fringe_visibility(params: LinkParams, storage_time: float) -> tuple[float, f
     law = _link_law(params, storage_time)
     p_ret, w = law.p_ret, law.manifold()
     w_coherent = w[1, 0] + w[0, 1]
-    a, b = _K[:, None], _K[None, :]
-    mean_excitations = float(((a + b) * w).sum())
-    incoherent = mean_excitations - w_coherent
+    incoherent = float((np.add.outer(_K, _K) * w).sum()) - w_coherent   # mean k_L + k_R
 
-    i = np.arange(params.mode_count)
-    other_excited = float((law.window_probs
-                           * (2 * i * law.q_pre
-                              + 2 * (params.mode_count - 1 - i) * law.q_post)).sum())
+    n_pre, n_post = law.other_slots().T
+    other_excited = float((law.window_probs * (n_pre * law.q_pre + n_post * law.q_post)).sum())
     background = other_excited * law.leak / 2.0 + params.dark_count_prob
 
     coherent = w_coherent * p_ret / 2.0

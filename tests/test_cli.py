@@ -640,15 +640,20 @@ PROJECTION_CHAIN = parse_config(CONFIGS / "projection.ini").chain
 # a link this short gives a subnormal T_cc part-way up a fiber_speed grid,
 # where the recursion's rate overflows before a later point's T_cc is 0
 TINY_LINK_CHAIN = dataclasses.replace(PROJECTION_CHAIN, l0=1e-300)
-SWEEP_EDGES = [0.0, -1.0, 1e-320, 0.5, 1.0, 1.25, 4.0, 10000.0, 20000.0, 2e23, 1e24]
+SWEEP_EDGES = [0.0, -1.0, 1e-320, 0.5, 1.0, 1.25, 4.0, 10000.0, 20000.0, 2e23, 1e24,
+               -1.7e308, 1.7e308]
+SWEEP_OVERFLOW = "the grid from --min to --max overflows a float: narrow it"
 
 
 def sweep_point_by_point(chain, param, low, high, steps, total) -> tuple[int, str]:
     """Exit code and stderr of a sweep that builds every grid point through
-    ChainParams before its rate, as the oracle of `cmd_sweep`'s one check."""
+    ChainParams before its rate, as the oracle of `cmd_sweep`'s one check. A
+    grid with a point beyond the float range fails before any point is checked."""
     is_int = dict((name, cast) for name, cast, *_ in field_spec(ChainParams))[param] is int
-    for i in range(steps):
-        value = low + (high - low) * i / (steps - 1)
+    values = [low + (high - low) * i / (steps - 1) for i in range(steps)]
+    if not all(map(math.isfinite, values)):
+        return cli.EXIT_DOMAIN, f"error: {SWEEP_OVERFLOW}\n"
+    for value in values:
         value = int(round(value)) if is_int else value
         fields = {param: value}
         if total is not None and value > 0:
@@ -751,19 +756,25 @@ class TestSweep:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("param, low, high, steps, message", [
+    @pytest.mark.parametrize("param, low, high, steps, extra, message", [
         # the first failing point is an interior one, not --max
-        ("chi", 0.5, 1.5, 5, "chi must be finite and in [0, 1], got 1.25"),
-        ("mode_count", 0, 5, 6, "mode_count must be finite and >= 1, got 0"),
-        ("n_levels", 0, 20000, 3, "n_levels must be finite and in [0, 10000], got 20000"),
-        ("fiber_speed", "1e-320", 1, 3,
+        ("chi", 0.5, 1.5, 5, [], "chi must be finite and in [0, 1], got 1.25"),
+        ("mode_count", 0, 5, 6, [], "mode_count must be finite and >= 1, got 0"),
+        ("n_levels", 0, 20000, 3, [], "n_levels must be finite and in [0, 10000], got 20000"),
+        ("fiber_speed", "1e-320", 1, 3, [],
          "T_cc = l0/fiber_speed = inf s is not a positive finite time"),
-    ], ids=["chi-interior", "mode_count-first", "n_levels-last", "t_cc-first"])
+        # the span, or a multiple of it on the way to a point, overflows a float
+        ("n_levels", "-1.7e308", "1.7e308", 3, [], SWEEP_OVERFLOW),
+        ("r0", "-1.7e308", "1.7e308", 3, [], SWEEP_OVERFLOW),
+        ("l0", 1, "1e308", 3, ["--fixed-total-km", "1e-300"], SWEEP_OVERFLOW),
+    ], ids=["chi-interior", "mode_count-first", "n_levels-last", "t_cc-first",
+            "int-span-overflows", "float-span-overflows", "point-overflows"])
     def test_first_failing_point_words_the_error(self, tmp_path, capsys, param, low, high,
-                                                 steps, message):
+                                                 steps, extra, message):
         out = tmp_path / "out"
         assert run(["sweep", "--config", CONFIGS / "projection.ini", "--param", param,
-                    "--min", low, "--max", high, "--steps", steps, "--out-dir", out]) == 3
+                    f"--min={low}", f"--max={high}", "--steps", steps, *extra,
+                    "--out-dir", out]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

@@ -18,7 +18,8 @@ factors, so none is a rounding residue of O(1) numbers.
 
 For any N, a `fractions.Fraction` copy of the closed forms, evaluated on the
 float fields of `_link_law`, must match them to 1e-12 relative over the whole
-accepted input domain.
+accepted input domain: the window's Stokes click law and its mean, the herald
+probability and Pmn.
 """
 
 import contextlib
@@ -80,8 +81,8 @@ def add(law: np.ndarray, increment: np.ndarray) -> np.ndarray:
 def enumerate_train(params, storage_time: float):
     """Exact law of one train's tally: P(herald at window h by detector d) as
     (N, 2), P(herald at h and readout cell c) as (N, 4) with cells (m > 0,
-    n > 0) in the order p00, p01, p10, p11, and the expected Stokes clicks
-    over all windows."""
+    n > 0) in the order p00, p01, p10, p11, and P(0, 1 or 2 Stokes detectors
+    click in window h) as (N, 3)."""
     slot_law = _link_law(params, storage_time).slot_law
     n_modes, dark = params.mode_count, params.dark_count_prob
     p_ret = (params.retrieval_eff_zero * math.exp(-storage_time / params.memory_lifetime)
@@ -97,7 +98,7 @@ def enumerate_train(params, storage_time: float):
     darks = [draw([(1.0 - dark, 0, 0), (dark, 1, 0)], rows),
              draw([(1.0 - dark, 0, 0), (dark, 0, 1)], rows)]
 
-    herald, cells, clicks = np.zeros((n_modes, 2)), np.zeros((n_modes, 4)), 0.0
+    herald, cells, clicks = np.zeros((n_modes, 2)), np.zeros((n_modes, 4)), np.zeros((n_modes, 3))
     no_click_yet = weight          # P(configuration, and no earlier window clicked)
     for h in range(n_modes):
         # Stokes clicks (c1, c2) of window h: the 50/50 split, then dark clicks
@@ -106,7 +107,7 @@ def enumerate_train(params, storage_time: float):
                                     for x in range(5)], rows))
         for dark_clicks in darks:
             window = add(window, dark_clicks)
-        clicks += float(weight @ (window[1, 0] + window[0, 1] + 2.0 * window[1, 1]))
+        clicks[h] = np.stack([window[0, 0], window[1, 0] + window[0, 1], window[1, 1]]) @ weight
         # the tie coin gives each detector half of the both-click mass
         by_detector = np.stack([window[1, 0] + 0.5 * window[1, 1],
                                 window[0, 1] + 0.5 * window[1, 1]])
@@ -156,7 +157,8 @@ def test_enumerated_train_equals_the_closed_forms(mode_count, chi, eta_td, eps, 
 
     close(herald.sum(), expected_herald_probability(params))
     close(herald, law.herald_prob * np.outer(law.window_probs, [0.5, 0.5]))
-    close(clicks, mode_count * expected_window_detection(params))
+    close(clicks, np.tile(law.window_clicks, (mode_count, 1)))
+    close((clicks @ [0, 1, 2]).sum(), mode_count * expected_window_detection(params))
     close(cells.sum(axis=0) / herald.sum(), expected_pmn(params, storage_time).as_tuple())
 
 
@@ -166,20 +168,39 @@ def exact(cells) -> list:
 
 
 def exact_closed_forms(params, storage_time: float):
-    """(p00, p01, p10, p11) and the window detection of the link's law, in
-    exact arithmetic on the float fields of `_link_law`: no click at aS_R, none
-    at aS_L and neither, then the cells by inclusion-exclusion. Each float law
-    is renormalised exactly, since it sums to 1 only up to rounding and the
-    oracle must not measure that. Pmn is None where the herald weights are zero."""
+    """(p00, p01, p10, p11), the window's Stokes click law, its mean and the
+    herald probability of the link's law, in exact arithmetic on the float
+    fields of `_link_law`. The click law sums the beam splitter's binomial
+    split of each pair of survivor counts, then each dark count; Pmn takes no
+    click at aS_R, none at aS_L and neither, then the cells by
+    inclusion-exclusion. Each float law is renormalised exactly, since it sums
+    to 1 only up to rounding and the oracle must not measure that. Pmn is None
+    where the herald probability is zero."""
     law = _link_law(params, storage_time)
-    d, p, leak = (Fraction(x) for x in (params.dark_count_prob, law.p_ret, law.leak))
-    # a node sends a given detector no photon with probability sum of P(k, j) 2^-j
+    d, eta, p, leak = (Fraction(x) for x in (params.dark_count_prob, params.eta_td, law.p_ret,
+                                             law.leak))
     slot_law = exact(law.slot_law)
-    none = sum(s / 2 ** (c % 3) for c, s in enumerate(slot_law)) / sum(slot_law)
+    slot_law = [s / sum(slot_law) for s in slot_law]
+    occupation = [sum(slot_law[3 * k:3 * k + 3]) for k in range(3)]
+    survivors = [sum(slot_law[j::3]) for j in range(3)]
+    # a node sends a given detector no photon with probability sum of P(k, j) 2^-j
+    none = sum(s / 2 ** (c % 3) for c, s in enumerate(slot_law))
     detection = 2 * (1 - (1 - d) * none ** 2)
-    weights = exact(law.herald_weights)
-    if sum(weights) == 0:
-        return None, detection
+    photons = [Fraction(0)] * 3   # P(no, one or both detectors get a photon)
+    for j_l, j_r in itertools.product(range(3), repeat=2):
+        n = j_l + j_r
+        for x in range(n + 1):   # x photons to the first detector
+            photons[(x > 0) + (x < n)] += (survivors[j_l] * survivors[j_r]
+                                            * math.comb(n, x) / 2 ** n)
+    window = [Fraction(0)] * 3
+    for got, q in enumerate(photons):   # the other 2 - got detectors may click dark
+        for x in range(3 - got):
+            window[got + x] += q * math.comb(2 - got, x) * d ** x * (1 - d) ** (2 - got - x)
+    herald = 1 - ((1 - sum(survivors[1:])) * (1 - d)) ** (2 * params.mode_count)
+    if herald == 0:
+        return None, window, detection, herald
+    weights = [occupation[k_l] * occupation[k_r] * (1 - (1 - eta) ** (k_l + k_r) * (1 - d) ** 2)
+               for k_l in range(3) for k_r in range(3)]
     y = [Fraction(law.q_pre) * leak / 2, Fraction(law.q_post) * leak / 2]
     n_modes, window_probs = params.mode_count, exact(law.window_probs)
     groups = [(pi, 2 * i, 2 * (n_modes - 1 - i)) for i, pi in enumerate(window_probs)]
@@ -193,13 +214,16 @@ def exact_closed_forms(params, storage_time: float):
         s_00 += w * (1 - p) ** (k_l + k_r)
     scale = (1 - d) / (sum(weights) * sum(window_probs))
     m0, n0, p00 = s_r * not_r * scale, s_l * not_r * scale, s_00 * neither * scale * (1 - d)
-    return (p00, m0 - p00, n0 - p00, 1 - m0 - n0 + p00), detection
+    return (p00, m0 - p00, n0 - p00, 1 - m0 - n0 + p00), window, detection, herald
 
 
 def assert_exact(params, storage_time: float):
-    pmn_exact, detection_exact = exact_closed_forms(params, storage_time)
-    got, want = [expected_window_detection(params)], [detection_exact]
-    if pmn_exact is None:   # manifold()'s documented error: the herald weights are zero
+    pmn_exact, window_exact, detection_exact, herald_exact = exact_closed_forms(params,
+                                                                                 storage_time)
+    got = [*_link_law(params, storage_time).window_clicks, expected_window_detection(params),
+           expected_herald_probability(params)]
+    want = [*window_exact, detection_exact, herald_exact]
+    if pmn_exact is None:   # manifold()'s documented error: the link never heralds
         with pytest.raises(ParameterError, match="herald probability is zero"):
             expected_pmn(params, storage_time)
     else:

@@ -26,7 +26,6 @@ from dlczsim.link_physics import (
     expected_window_detection,
     fringe_expectation,
     fringe_visibility,
-    occupation_probs,
     run_link_trials,
 )
 from dlczsim.metrics import concurrence
@@ -45,6 +44,11 @@ def _chi2(observed, probs, min_expected=5.0):
         (e0, o0), (e1, o1) = cells[:2]
         cells = sorted([(e0 + e1, o0 + o1)] + cells[2:])
     return sum((o - e) ** 2 / e for e, o in cells), len(cells) - 1
+
+
+def occupation(params) -> np.ndarray:
+    """P(k) for k = 0..2, the slot law's row sums."""
+    return _link_law(params, 0.0).slot_law.sum(axis=1)
 
 
 class TestLinkParams:
@@ -69,10 +73,10 @@ class TestLinkParams:
             LinkParams(chi=0.1, mode_count=1)
             LinkParams(chi=0.01, mode_count=100)
 
-    def test_occupation_probs_normalized_with_thermal_ratio(self):
+    def test_occupation_law_normalized_with_thermal_ratio(self):
         with pytest.warns(UserWarning, match="chi"):
             params = LinkParams(chi=0.3, mode_count=1)
-        probs = occupation_probs(params)
+        probs = occupation(params)
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
         assert probs[2] / probs[1] == pytest.approx(0.3, abs=1e-15)
         assert probs[1] / probs[0] == pytest.approx(0.3, abs=1e-15)
@@ -85,7 +89,7 @@ class TestLinkLaw:
         # dark with both nodes unlit and no dark count on either detector
         params = dataclasses.replace(calibrated, dark_count_prob=1e-3)
         law = _link_law(params, 150e-6)
-        probs, eta, n = occupation_probs(params), params.eta_td, params.mode_count
+        probs, eta, n = occupation(params), params.eta_td, params.mode_count
         unlit = np.array([p * (1.0 - eta) ** k for k, p in enumerate(probs)])
         no_click = unlit.sum() ** 2 * (1.0 - 1e-3) ** 2
         assert law.slot_law.sum() == pytest.approx(1.0, abs=1e-15)
@@ -126,6 +130,16 @@ class TestLinkLaw:
                      lambda: fringe_visibility(params, 0.0)):
             with pytest.raises(ParameterError, match="herald probability is zero"):
                 read()
+
+    @pytest.mark.parametrize("eta_td", [1e-308, 2.5e-322])
+    def test_link_with_a_rare_click_has_a_herald_law(self, eta_td):
+        # no dark counts and a click as rare as ~1e-310 or ~1e-324 a window: the
+        # link heralds, so its herald weights and readout law exist
+        params = LinkParams(chi=0.01, eta_td=eta_td)
+        law = _link_law(params, 0.0)
+        assert law.herald_prob > 0.0 and law.herald_weights.sum() > 0.0
+        values = (*expected_pmn(params, 0.0).as_tuple(), *fringe_visibility(params, 0.0))
+        assert all(math.isfinite(v) for v in values), values
 
     def test_negative_storage_time_is_rejected_by_every_reader(self, calibrated):
         for read in (lambda: run_link_trials(calibrated, -1e-6, 10, substream(0, 0)),
@@ -182,7 +196,7 @@ class TestSampleLitSlots:
         # oracle: a slot is lit unless all of its k photons are lost,
         # q_lit = 1 - sum_k P(k) (1 - eta_td)^k, over 10^6 calibrated trains;
         # lit slots are distinct, ascending and inside the slot range
-        probs = occupation_probs(calibrated)
+        probs = occupation(calibrated)
         q_lit = 1.0 - sum(p * (1.0 - calibrated.eta_td) ** k for k, p in enumerate(probs))
         slot, _, _ = _sample_lit(_link_law(calibrated, 0.0), 1_000_000, substream(42, 0))
         n_slots = 1_000_000 * 2 * calibrated.mode_count
@@ -196,7 +210,7 @@ class TestSampleLitSlots:
         # a chi-squared test at p = 1e-4, and no other cell may appear
         with pytest.warns(UserWarning, match="chi"):
             params = LinkParams(chi=0.5, mode_count=1, eta_td=0.4)
-        _, p1, p2 = occupation_probs(params)
+        _, p1, p2 = occupation(params)
         eta = params.eta_td
         cells = {(1, 1): p1 * eta, (2, 1): p2 * 2 * eta * (1 - eta), (2, 2): p2 * eta ** 2}
         slot, k, photons = _sample_lit(_link_law(params, 0.0), 200_000, substream(7, 0))

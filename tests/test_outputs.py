@@ -3,7 +3,9 @@
 The twin of test_inputs.py. Each field of a record the library returns must
 be read by the CLI (which lays out every result file and stdout), by an
 acceptance criterion, or by another module of the package; a field none of
-them reads is work nobody sees. Reads are found in the source:
+them reads is work nobody sees. A private record, such as the link's law
+`_LinkLaw`, is read by its own module too: by the sampler or a closed form,
+not by tests alone. Reads are found in the source:
 - an attribute load ``x.field``, matched by name. The CLI's argparse
   namespace ``args`` is left out: its flags share names with record fields
   (``args.config``);
@@ -27,11 +29,11 @@ from dlczsim import cli
 from dlczsim.chain_sim import ChainTrace, ElementaryLinkTrace
 from dlczsim.experiments import ScanPoint
 from dlczsim.fitters import FitResult
-from dlczsim.link_physics import LinkTally
+from dlczsim.link_physics import LinkTally, _LinkLaw
 from dlczsim.rate import ChainLaw, ChainReport
 
 RECORDS = [ScanPoint, ChainTrace, ElementaryLinkTrace, ChainLaw, ChainReport, LinkTally,
-           FitResult]
+           FitResult, _LinkLaw]
 
 # fields no reader takes yet, each with the ROADMAP item that removes it from this list
 UNREAD = {
@@ -76,9 +78,10 @@ def asdict_records(module) -> set:
 
 def readers_of(record) -> set[str]:
     """Attribute names loaded by the CLI, the acceptance criteria and every
-    package module but the record's own."""
+    package module but a public record's own."""
     own = Path(inspect.getfile(record))
-    sources = [ACCEPTANCE, *(p for p in SRC.glob("*.py") if p != own)]
+    sources = [ACCEPTANCE, *(p for p in SRC.glob("*.py")
+                             if p != own or record.__name__.startswith("_"))]
     return set().union(*(attribute_reads(ast.parse(p.read_text())) for p in sources))
 
 
